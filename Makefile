@@ -48,7 +48,8 @@ EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
 .PHONY: all build test race fuzz bench bench-json bench-baseline bench-gate \
-        staticcheck govulncheck lint fmt vet examples serve-smoke load-smoke ci
+        staticcheck govulncheck lint fmt vet examples serve-smoke load-smoke \
+        perfbench-test ci
 
 all: build
 
@@ -60,6 +61,13 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# The benchmark harness is its own module (perfbench/go.mod, replacing
+# metricindex with this checkout), so `go build ./...` above never
+# compiles it: vet and test it separately, so an API change it depends on
+# fails here rather than in the benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short native-fuzzing smoke: each target fuzzes for FUZZTIME (Go allows
 # one -fuzz target per invocation, hence one run each).
@@ -161,4 +169,4 @@ load-smoke:
 # job's gate (vet's extra analyzers, staticcheck, govulncheck and
 # bench-gate need module downloads, so an offline run can cherry-pick
 # the other targets individually — lint itself is pure stdlib).
-ci: build vet fmt lint staticcheck govulncheck test race fuzz examples serve-smoke load-smoke bench-gate
+ci: build vet fmt lint staticcheck govulncheck test perfbench-test race fuzz examples serve-smoke load-smoke bench-gate

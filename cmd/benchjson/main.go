@@ -300,7 +300,7 @@ func measure(n, queries, k, reps int, minDur time.Duration) (*Report, error) {
 	}
 	if err := bench("filtered_knn", nil, func() (int64, error) {
 		for _, q := range gen.Queries {
-			if _, _, _, err := flive.KNNSearchFiltered(q, k, pred); err != nil {
+			if _, err := flive.Search(metricindex.Query{Object: q, Kind: metricindex.KindKNN, K: k, Filter: pred}); err != nil {
 				return 0, err
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"metricindex/internal/bench"
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
+	"metricindex/internal/epoch"
 	"metricindex/internal/exec"
 )
 
@@ -227,38 +228,34 @@ func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64,
 	eng := exec.New(gen.Dataset.Space(), exec.Options{Workers: workers})
 	fmt.Printf("batch mode: %d queries across %d workers\n", len(gen.Queries), eng.Workers())
 	ctx := context.Background()
-	var stats exec.BatchStats
+	shape := epoch.Query{Kind: epoch.KindRange, R: radius}
 	if k > 0 {
-		res, err := eng.BatchKNNSearch(ctx, built.Index, gen.Queries, k)
+		shape = epoch.Query{Kind: epoch.KindKNN, K: k}
+	}
+	res, err := eng.Batch(ctx, built.Index, gen.Queries, shape)
+	if err != nil {
+		return err
+	}
+	for qi := range gen.Queries {
+		if k > 0 {
+			printKNN(qi, k, maxShow, res.Neighbors[qi])
+		} else {
+			printMRQ(qi, radius, maxShow, res.IDs[qi])
+		}
+		fmt.Println()
+		if !verify {
+			continue
+		}
+		if k > 0 {
+			err = verifyKNN(gen, qi, k, res.Neighbors[qi])
+		} else {
+			err = verifyMRQ(gen, qi, radius, res.IDs[qi])
+		}
 		if err != nil {
 			return err
-		}
-		stats = res.Stats
-		for qi, nns := range res.Neighbors {
-			printKNN(qi, k, maxShow, nns)
-			fmt.Println()
-			if verify {
-				if err := verifyKNN(gen, qi, k, nns); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		res, err := eng.BatchRangeSearch(ctx, built.Index, gen.Queries, radius)
-		if err != nil {
-			return err
-		}
-		stats = res.Stats
-		for qi, ids := range res.IDs {
-			printMRQ(qi, radius, maxShow, ids)
-			fmt.Println()
-			if verify {
-				if err := verifyMRQ(gen, qi, radius, ids); err != nil {
-					return err
-				}
-			}
 		}
 	}
+	stats := res.Stats
 	if verify {
 		fmt.Println("all answers verified against linear scan ✓")
 	}
@@ -270,20 +267,11 @@ func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64,
 		stats.P99.Round(time.Microsecond))
 
 	for pass := 1; pass < repeat; pass++ {
-		var st exec.BatchStats
-		if k > 0 {
-			res, err := eng.BatchKNNSearch(ctx, built.Index, gen.Queries, k)
-			if err != nil {
-				return err
-			}
-			st = res.Stats
-		} else {
-			res, err := eng.BatchRangeSearch(ctx, built.Index, gen.Queries, radius)
-			if err != nil {
-				return err
-			}
-			st = res.Stats
+		res, err := eng.Batch(ctx, built.Index, gen.Queries, shape)
+		if err != nil {
+			return err
 		}
+		st := res.Stats
 		fmt.Printf("pass %d: %d queries in %v (%.0f q/s), %d cache hits, %.0f dists/query\n",
 			pass+1, st.Queries, st.Wall.Round(time.Microsecond), st.Throughput(),
 			st.CacheHits, st.PerQueryCompDists())

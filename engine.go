@@ -22,11 +22,11 @@ type EngineOptions = exec.Options
 // per-query latency percentiles (p50/p95/p99) over one batch.
 type BatchStats = exec.BatchStats
 
-// RangeResult is the answer of Engine.BatchRangeSearch.
-type RangeResult = exec.RangeResult
+// RangeResult is the answer of Engine.BatchRangeSearch (IDs set).
+type RangeResult = exec.Result
 
-// KNNResult is the answer of Engine.BatchKNNSearch.
-type KNNResult = exec.KNNResult
+// KNNResult is the answer of Engine.BatchKNNSearch (Neighbors set).
+type KNNResult = exec.Result
 
 // NewEngine creates a batch query engine over the instrumented space the
 // indexes share (pass the Space the Dataset was built with, so per-batch

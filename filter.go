@@ -35,9 +35,12 @@ func StringValue(v string) AttrValue { return core.StringValue(v) }
 func TagsValue(tags ...string) AttrValue { return core.TagsValue(tags...) }
 
 // Predicate is a compiled filter expression. Compile once with
-// ParseFilter, then pass it to Live.RangeSearchFiltered /
-// Live.KNNSearchFiltered (evaluation is zero-alloc, so one compiled
-// predicate serves any number of queries and candidates).
+// ParseFilter, then set it as the Filter of a Query:
+//
+//	ans, _ := live.Search(metricindex.Query{Object: q, Kind: metricindex.KindKNN, K: 5, Filter: pred})
+//
+// Evaluation is zero-alloc, so one compiled predicate serves any number
+// of queries and candidates.
 type Predicate = plan.Predicate
 
 // ParseFilter compiles a filter expression such as

@@ -39,10 +39,11 @@ func TestFacadeFilteredSearch(t *testing.T) {
 	q := gen.Queries[0]
 	r := gen.MaxDistance / 8
 
-	ids, _, st, err := live.RangeSearchFiltered(q, r, pred)
+	ans, err := live.Search(metricindex.Query{Object: q, Kind: metricindex.KindRange, R: r, Filter: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ids, st := ans.IDs, ans.Strategy
 	if st != metricindex.PlanPre && st != metricindex.PlanProbe && st != metricindex.PlanPost {
 		t.Fatalf("unexpected strategy %v", st)
 	}
@@ -65,10 +66,11 @@ func TestFacadeFilteredSearch(t *testing.T) {
 		}
 	}
 
-	nns, _, _, err := live.KNNSearchFiltered(q, 5, pred)
+	kans, err := live.Search(metricindex.Query{Object: q, Kind: metricindex.KindKNN, K: 5, Filter: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nns := kans.Neighbors
 	if len(nns) != 5 {
 		t.Fatalf("filtered kNN returned %d neighbors, want 5", len(nns))
 	}

@@ -397,43 +397,7 @@ func (e *Env) engine() *exec.Engine {
 // MeasureRange averages MRQ(q, r) costs over the environment's queries,
 // either sequentially or through the batch engine (Config.Workers).
 func MeasureRange(e *Env, b *Built, r float64) (QueryCost, error) {
-	sp := e.Gen.Dataset.Space()
-	sp.ResetCompDists()
-	b.Index.ResetStats()
-	cacheBefore, _ := b.CacheStats()
-	n := float64(len(e.Gen.Queries))
-	if eng := e.engine(); eng != nil {
-		res, err := eng.BatchRangeSearch(context.Background(), b.Index, e.Gen.Queries, r)
-		if err != nil {
-			return QueryCost{}, err
-		}
-		cost := QueryCost{
-			CompDists: res.Stats.PerQueryCompDists(),
-			PA:        res.Stats.PerQueryPageAccesses(),
-			CPU:       time.Duration(float64(res.Stats.Wall) / n),
-			P50:       res.Stats.P50, P95: res.Stats.P95, P99: res.Stats.P99,
-		}
-		cacheDelta(b, cacheBefore, &cost)
-		return cost, nil
-	}
-	durs := make([]time.Duration, 0, len(e.Gen.Queries))
-	start := time.Now()
-	for _, q := range e.Gen.Queries {
-		qStart := time.Now()
-		if _, err := b.Index.RangeSearch(q, r); err != nil {
-			return QueryCost{}, err
-		}
-		durs = append(durs, time.Since(qStart))
-	}
-	elapsed := time.Since(start)
-	cost := QueryCost{
-		CompDists: float64(sp.CompDists()) / n,
-		PA:        float64(b.Index.PageAccesses()) / n,
-		CPU:       time.Duration(float64(elapsed) / n),
-	}
-	cost.P50, cost.P95, cost.P99 = exec.LatencyPercentiles(durs)
-	cacheDelta(b, cacheBefore, &cost)
-	return cost, nil
+	return measure(e, b, epoch.Query{Kind: epoch.KindRange, R: r})
 }
 
 // MeasureKNN averages MkNNQ(q, k) costs over the environment's queries,
@@ -442,13 +406,19 @@ func MeasureRange(e *Env, b *Built, r float64) (QueryCost, error) {
 func MeasureKNN(e *Env, b *Built, k int) (QueryCost, error) {
 	b.SetCacheBytes(store.DefaultCacheBytes)
 	defer b.SetCacheBytes(0)
+	return measure(e, b, epoch.Query{Kind: epoch.KindKNN, K: k})
+}
+
+// measure averages the costs of one query shape (kind and parameter)
+// over the environment's queries.
+func measure(e *Env, b *Built, shape epoch.Query) (QueryCost, error) {
 	sp := e.Gen.Dataset.Space()
 	sp.ResetCompDists()
 	b.Index.ResetStats()
 	cacheBefore, _ := b.CacheStats()
 	n := float64(len(e.Gen.Queries))
 	if eng := e.engine(); eng != nil {
-		res, err := eng.BatchKNNSearch(context.Background(), b.Index, e.Gen.Queries, k)
+		res, err := eng.Batch(context.Background(), b.Index, e.Gen.Queries, shape)
 		if err != nil {
 			return QueryCost{}, err
 		}
@@ -465,7 +435,13 @@ func MeasureKNN(e *Env, b *Built, k int) (QueryCost, error) {
 	start := time.Now()
 	for _, q := range e.Gen.Queries {
 		qStart := time.Now()
-		if _, err := b.Index.KNNSearch(q, k); err != nil {
+		var err error
+		if shape.Kind == epoch.KindKNN {
+			_, err = b.Index.KNNSearch(q, shape.K)
+		} else {
+			_, err = b.Index.RangeSearch(q, shape.R)
+		}
+		if err != nil {
 			return QueryCost{}, err
 		}
 		durs = append(durs, time.Since(qStart))

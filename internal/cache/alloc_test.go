@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"testing"
 
 	"metricindex/internal/core"
@@ -24,16 +23,17 @@ func TestHitPathAllocs(t *testing.T) {
 		radius = 0.5
 		epoch  = 7
 	)
-	if _, _, err := c.Range(q, radius, epoch, func() ([]int, uint64, error) {
-		return []int{3, 5, 8}, epoch, nil
+	k := RangeKey(q, radius, "")
+	if _, _, err := c.Do(k, epoch, func() (Answer, uint64, error) {
+		return Answer{IDs: []int{3, 5, 8}}, epoch, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	k := key{digest: digest(q, kindRange, math.Float64bits(radius), ""), kind: kindRange, param: math.Float64bits(radius)}
+	s := slotOf(k)
 	misses := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if c.lookup(k, q, "", epoch) == nil {
+		if c.lookup(s, k, epoch) == nil {
 			misses++
 		}
 	})
@@ -45,7 +45,7 @@ func TestHitPathAllocs(t *testing.T) {
 	}
 
 	allocs = testing.AllocsPerRun(1000, func() {
-		digest(q, kindRange, math.Float64bits(radius), "")
+		digest(k)
 	})
 	if allocs != 0 {
 		t.Fatalf("digest allocated %.1f times; want 0", allocs)
@@ -53,14 +53,14 @@ func TestHitPathAllocs(t *testing.T) {
 
 	hits := 0
 	allocs = testing.AllocsPerRun(1000, func() {
-		if ids, ok := c.GetRange(q, radius, epoch); ok && len(ids) == 3 {
+		if a, ok := c.Get(k, epoch); ok && len(a.IDs) == 3 {
 			hits++
 		}
 	})
 	if hits != 1001 {
-		t.Fatalf("GetRange hit %d of 1001 probes on a resident entry", hits)
+		t.Fatalf("Get hit %d of 1001 probes on a resident entry", hits)
 	}
 	if allocs != 1 {
-		t.Fatalf("GetRange spent %.1f allocations per hit; want exactly 1 (the answer copy)", allocs)
+		t.Fatalf("Get spent %.1f allocations per hit; want exactly 1 (the answer copy)", allocs)
 	}
 }

@@ -1,7 +1,8 @@
 // Package cache is the epoch-keyed answer cache: a byte-budgeted,
 // sharded LRU that memoizes whole query answers (MRQ id lists, MkNNQ
 // neighbor lists) keyed by the query object, the query kind and
-// parameter, and the index epoch the answer was observed at.
+// parameter, the canonical filter predicate, and the index epoch the
+// answer was observed at.
 //
 // The paper's only cache is the 128 KB page cache that reduces PA for
 // the disk-based indexes; nothing there memoizes answers, so a hot
@@ -15,8 +16,8 @@
 // epoch and serves it only to lookups at the same epoch. Any committed
 // insert, delete or swap bumps the epoch, so every cached answer
 // self-invalidates — there is no explicit invalidation path to get
-// wrong. One entry exists per (query, kind, parameter); a fill at a
-// newer epoch replaces the stale entry in place.
+// wrong. One entry exists per Key (query, kind, parameter, filter); a
+// fill at a newer epoch replaces the stale entry in place.
 //
 // Concurrent identical misses collapse through a per-shard singleflight:
 // the first caller computes, the rest wait and share the answer (counted
@@ -98,23 +99,63 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.Collapsed) / float64(total)
 }
 
-// kind discriminates the two query types in cache keys.
-type kind uint8
+// Kind discriminates the two query types in cache keys.
+type Kind uint8
 
 const (
-	kindRange kind = 1
-	kindKNN   kind = 2
+	// KindRange is MRQ(q, r); Key.Param carries the radius bits.
+	KindRange Kind = 1
+	// KindKNN is MkNNQ(q, k); Key.Param carries k.
+	KindKNN Kind = 2
 )
 
-// key identifies one cached query: digest of the query object (and the
-// filter predicate, for filtered searches), the query kind, and the
-// parameter (radius bits or k). The epoch is deliberately NOT part of
-// the map key — one entry lives per query, stamped with the epoch it
-// was observed at, so a fill at a newer epoch replaces the stale answer
-// instead of accumulating dead versions.
-type key struct {
+// Key identifies one cached query: the query object, the kind, the
+// parameter bits (radius bits or k), and the canonical filter predicate
+// ("" for unfiltered searches). The filter joins both the digest and
+// the equality guard, so a filtered answer can never be served to an
+// unfiltered lookup or to a different predicate. The epoch is
+// deliberately NOT part of the key — one entry lives per query, stamped
+// with the epoch it was observed at, so a fill at a newer epoch replaces
+// the stale answer instead of accumulating dead versions.
+type Key struct {
+	Query  core.Object
+	Kind   Kind
+	Param  uint64
+	Filter string
+}
+
+// RangeKey is the key of MRQ(q, r) under the given canonical filter.
+func RangeKey(q core.Object, r float64, filter string) Key {
+	return Key{Query: q, Kind: KindRange, Param: math.Float64bits(r), Filter: filter}
+}
+
+// KNNKey is the key of MkNNQ(q, k) under the given canonical filter.
+func KNNKey(q core.Object, k int, filter string) Key {
+	return Key{Query: q, Kind: KindKNN, Param: uint64(k), Filter: filter}
+}
+
+// Answer is one memoized query answer: IDs for MRQ, Neighbors for
+// MkNNQ.
+type Answer struct {
+	IDs       []int
+	Neighbors []core.Neighbor
+}
+
+// clone copies the answer's slices, so neither the cache nor a caller
+// ever aliases the other's memory.
+func (a Answer) clone() Answer {
+	return Answer{
+		IDs:       append([]int(nil), a.IDs...),
+		Neighbors: append([]core.Neighbor(nil), a.Neighbors...),
+	}
+}
+
+// slot is the map key of a resident entry: the digest of the full Key
+// plus its kind and parameter. Digest collisions are resolved by the
+// full comparison in sameQuery.
+type slot struct {
 	digest uint64
-	kind   kind
+	kind   Kind
 	param  uint64
 }
 
@@ -122,34 +163,35 @@ type key struct {
 // the epoch: a caller at a newer epoch must not wait on (and be handed)
 // a fill for an older dataset version.
 type flightKey struct {
-	key   key
+	slot  slot
 	epoch uint64
 }
 
 // flight is one in-flight fill other callers can wait on.
 type flight struct {
-	query  core.Object // collision guard, same as entry.query
-	filter string      // collision guard, same as entry.filter
-	done   chan struct{}
-	ids    []int
-	nns    []core.Neighbor
-	epoch  uint64
-	err    error
+	key   Key // collision guard, same as entry.key
+	done  chan struct{}
+	ans   Answer
+	epoch uint64
+	err   error
 }
 
-// entry is one resident answer. filter is the canonical predicate of a
-// filtered search ("" for plain searches): it joins the digest in the
-// key and the equality guard here, so a filtered answer can never be
-// served to an unfiltered lookup or to a different predicate.
+// entry is one resident answer.
 type entry struct {
-	key    key
-	query  core.Object
-	filter string
-	epoch  uint64
-	ids    []int           // kindRange answers
-	nns    []core.Neighbor // kindKNN answers
-	bytes  int64
-	elem   *list.Element
+	slot  slot
+	key   Key
+	epoch uint64
+	ans   Answer
+	bytes int64
+	elem  *list.Element
+}
+
+// sameQuery reports whether two keys name the same query: the
+// collision guard behind every digest match.
+//
+//metriclint:noalloc
+func sameQuery(a, b Key) bool {
+	return a.Filter == b.Filter && objectEqual(a.Query, b.Query)
 }
 
 // shard is one lock stripe: an LRU over its share of the byte budget
@@ -158,7 +200,7 @@ type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	entries  map[key]*entry
+	entries  map[slot]*entry
 	lru      *list.List // front = most recently used
 	flights  map[flightKey]*flight
 }
@@ -184,7 +226,7 @@ func New(opts Options) *Cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			maxBytes: per,
-			entries:  make(map[key]*entry),
+			entries:  make(map[slot]*entry),
 			lru:      list.New(),
 			flights:  make(map[flightKey]*flight),
 		}
@@ -211,57 +253,38 @@ func (c *Cache) Stats() Stats {
 }
 
 //metriclint:noalloc
-func (c *Cache) shardFor(k key) *shard {
-	return c.shards[k.digest%uint64(len(c.shards))]
+func slotOf(k Key) slot {
+	return slot{digest: digest(k), kind: k.Kind, param: k.Param}
 }
 
-// GetRange returns the cached MRQ answer for (q, r) observed at exactly
-// the given epoch, or ok=false. The returned slice is the caller's to
-// keep (a copy).
-func (c *Cache) GetRange(q core.Object, r float64, epoch uint64) ([]int, bool) {
-	return c.GetRangeFiltered(q, r, "", epoch)
+//metriclint:noalloc
+func (c *Cache) shardFor(s slot) *shard {
+	return c.shards[s.digest%uint64(len(c.shards))]
 }
 
-// GetRangeFiltered is GetRange for a filtered search: filter is the
-// canonical predicate ("" means unfiltered) and joins the key.
-func (c *Cache) GetRangeFiltered(q core.Object, r float64, filter string, epoch uint64) ([]int, bool) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	e := c.lookup(k, q, filter, epoch)
+// Get returns the cached answer for k observed at exactly the given
+// epoch, or ok=false. The returned slices are the caller's to keep (a
+// copy).
+func (c *Cache) Get(k Key, epoch uint64) (Answer, bool) {
+	e := c.lookup(slotOf(k), k, epoch)
 	if e == nil {
-		return nil, false
+		return Answer{}, false
 	}
-	return append([]int(nil), e.ids...), true
+	return e.ans.clone(), true
 }
 
-// GetKNN returns the cached MkNNQ answer for (q, k) observed at exactly
-// the given epoch, or ok=false. The returned slice is the caller's to
-// keep (a copy).
-func (c *Cache) GetKNN(q core.Object, kq int, epoch uint64) ([]core.Neighbor, bool) {
-	return c.GetKNNFiltered(q, kq, "", epoch)
-}
-
-// GetKNNFiltered is GetKNN for a filtered search; see GetRangeFiltered.
-func (c *Cache) GetKNNFiltered(q core.Object, kq int, filter string, epoch uint64) ([]core.Neighbor, bool) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	e := c.lookup(k, q, filter, epoch)
-	if e == nil {
-		return nil, false
-	}
-	return append([]core.Neighbor(nil), e.nns...), true
-}
-
-// lookup finds a resident entry matching (k, q, filter, epoch), touching
-// its LRU position and counting the hit. Lookups that miss are not
-// counted — the compute path (Range/KNN) counts exactly one miss per
-// fill, so a peek-then-fill sequence is not double-counted.
+// lookup finds a resident entry matching (k, epoch), touching its LRU
+// position and counting the hit. Lookups that miss are not counted —
+// the compute path (Do, Put) counts exactly one miss per fill, so a
+// peek-then-fill sequence is not double-counted.
 //
 //metriclint:noalloc
-func (c *Cache) lookup(k key, q core.Object, filter string, epoch uint64) *entry {
-	sh := c.shardFor(k)
+func (c *Cache) lookup(s slot, k Key, epoch uint64) *entry {
+	sh := c.shardFor(s)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.entries[k]
-	if e == nil || e.epoch != epoch || e.filter != filter || !objectEqual(e.query, q) {
+	e := sh.entries[s]
+	if e == nil || e.epoch != epoch || !sameQuery(e.key, k) {
 		return nil
 	}
 	sh.lru.MoveToFront(e.elem)
@@ -269,15 +292,11 @@ func (c *Cache) lookup(k key, q core.Object, filter string, epoch uint64) *entry
 	return e
 }
 
-// RangeFill computes a fresh MRQ answer, reporting the epoch it was
-// observed at (epoch.Live.RangeSearchAt has exactly this shape).
-type RangeFill func() ([]int, uint64, error)
+// Fill computes a fresh answer, reporting the epoch it was observed at
+// (epoch.Live's read section has exactly this shape).
+type Fill func() (Answer, uint64, error)
 
-// KNNFill computes a fresh MkNNQ answer, reporting the epoch it was
-// observed at.
-type KNNFill func() ([]core.Neighbor, uint64, error)
-
-// Range answers MRQ(q, r) through the cache: a resident entry at the
+// Do answers the query k through the cache: a resident entry at the
 // lookup epoch is returned immediately; otherwise concurrent identical
 // misses collapse onto one fetch whose answer is stored under the epoch
 // it observed and shared with every waiter. The returned epoch is the
@@ -285,118 +304,47 @@ type KNNFill func() ([]core.Neighbor, uint64, error)
 // write committed between the caller reading its epoch and the fetch
 // running). Returned slices are copies — callers may keep and mutate
 // them.
-func (c *Cache) Range(q core.Object, r float64, epoch uint64, fetch RangeFill) ([]int, uint64, error) {
-	return c.RangeFiltered(q, r, "", epoch, fetch)
-}
-
-// RangeFiltered is Range for a filtered search: filter is the canonical
-// predicate ("" means unfiltered) and joins both the key digest and the
-// collision guard, so answers for different predicates never mix.
-func (c *Cache) RangeFiltered(q core.Object, r float64, filter string, epoch uint64, fetch RangeFill) ([]int, uint64, error) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	e, f, leader := c.acquire(k, q, filter, epoch)
+func (c *Cache) Do(k Key, epoch uint64, fetch Fill) (Answer, uint64, error) {
+	s := slotOf(k)
+	e, f, leader := c.acquire(s, k, epoch)
 	switch {
 	case e != nil:
-		return append([]int(nil), e.ids...), e.epoch, nil
+		return e.ans.clone(), e.epoch, nil
 	case f != nil && !leader:
 		<-f.done
 		if f.err != nil {
-			return nil, 0, f.err
+			return Answer{}, 0, f.err
 		}
 		c.collapsed.Add(1)
-		return append([]int(nil), f.ids...), f.epoch, nil
+		return f.ans.clone(), f.epoch, nil
 	}
 	// The release is deferred so a panicking fetch still wakes every
 	// waiter (with errFillPanicked, nothing cached) instead of leaving
 	// them blocked on a dead flight; the panic itself propagates.
-	var ids []int
+	var ans Answer
 	var ep uint64
 	err := errFillPanicked
 	defer func() {
 		if f != nil {
-			f.ids, f.epoch, f.err = ids, ep, err
+			f.ans, f.epoch, f.err = ans, ep, err
 		}
-		c.release(k, flightKey{key: k, epoch: epoch}, f, q, filter, ep, ids, nil, err)
+		c.release(s, flightKey{slot: s, epoch: epoch}, f, k, ep, ans, err)
 	}()
-	ids, ep, err = fetch()
+	ans, ep, err = fetch()
 	c.misses.Add(1)
 	if err != nil {
-		return nil, 0, err
+		return Answer{}, 0, err
 	}
-	return append([]int(nil), ids...), ep, nil
+	return ans.clone(), ep, nil
 }
 
-// KNN answers MkNNQ(q, k) through the cache; see Range.
-func (c *Cache) KNN(q core.Object, kq int, epoch uint64, fetch KNNFill) ([]core.Neighbor, uint64, error) {
-	return c.KNNFiltered(q, kq, "", epoch, fetch)
-}
-
-// KNNFiltered is KNN for a filtered search; see RangeFiltered.
-func (c *Cache) KNNFiltered(q core.Object, kq int, filter string, epoch uint64, fetch KNNFill) ([]core.Neighbor, uint64, error) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	e, f, leader := c.acquire(k, q, filter, epoch)
-	switch {
-	case e != nil:
-		return append([]core.Neighbor(nil), e.nns...), e.epoch, nil
-	case f != nil && !leader:
-		<-f.done
-		if f.err != nil {
-			return nil, 0, f.err
-		}
-		c.collapsed.Add(1)
-		return append([]core.Neighbor(nil), f.nns...), f.epoch, nil
-	}
-	// Deferred release: see Range.
-	var nns []core.Neighbor
-	var ep uint64
-	err := errFillPanicked
-	defer func() {
-		if f != nil {
-			f.nns, f.epoch, f.err = nns, ep, err
-		}
-		c.release(k, flightKey{key: k, epoch: epoch}, f, q, filter, ep, nil, nns, err)
-	}()
-	nns, ep, err = fetch()
+// Put stores an answer computed outside the cache (the traced search
+// path bypasses Do's singleflight but still wants its answer resident).
+// The fill is counted as one miss, mirroring what Do would have
+// recorded. The answer is copied.
+func (c *Cache) Put(k Key, epoch uint64, a Answer) {
 	c.misses.Add(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]core.Neighbor(nil), nns...), ep, nil
-}
-
-// PutRange stores an MRQ answer computed outside the cache (the traced
-// search path bypasses Range's singleflight but still wants its answer
-// resident). The fill is counted as one miss, mirroring what Range
-// would have recorded. The ids slice is copied.
-func (c *Cache) PutRange(q core.Object, r float64, epoch uint64, ids []int) {
-	c.PutRangeFiltered(q, r, "", epoch, ids)
-}
-
-// PutRangeFiltered is PutRange for a filtered answer; see
-// RangeFiltered.
-func (c *Cache) PutRangeFiltered(q core.Object, r float64, filter string, epoch uint64, ids []int) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	c.misses.Add(1)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	c.store(sh, k, q, filter, epoch, append([]int(nil), ids...), nil)
-	sh.mu.Unlock()
-}
-
-// PutKNN stores an MkNNQ answer computed outside the cache; see
-// PutRange.
-func (c *Cache) PutKNN(q core.Object, kq int, epoch uint64, nns []core.Neighbor) {
-	c.PutKNNFiltered(q, kq, "", epoch, nns)
-}
-
-// PutKNNFiltered is PutKNN for a filtered answer; see RangeFiltered.
-func (c *Cache) PutKNNFiltered(q core.Object, kq int, filter string, epoch uint64, nns []core.Neighbor) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	c.misses.Add(1)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	c.store(sh, k, q, filter, epoch, nil, append([]core.Neighbor(nil), nns...))
-	sh.mu.Unlock()
+	c.release(slotOf(k), flightKey{}, nil, k, epoch, a.clone(), nil)
 }
 
 // acquire resolves one cache attempt under the shard lock: a resident
@@ -404,38 +352,38 @@ func (c *Cache) PutKNNFiltered(q core.Object, kq int, filter string, epoch uint6
 // false), or leadership of a new flight (f != nil, leader true). All
 // nil means compute without singleflight — a digest collision is
 // already in flight for a different query, too rare to serialize on.
-func (c *Cache) acquire(k key, q core.Object, filter string, epoch uint64) (e *entry, f *flight, leader bool) {
-	sh := c.shardFor(k)
+func (c *Cache) acquire(s slot, k Key, epoch uint64) (e *entry, f *flight, leader bool) {
+	sh := c.shardFor(s)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e = sh.entries[k]; e != nil && e.epoch == epoch && e.filter == filter && objectEqual(e.query, q) {
+	if e = sh.entries[s]; e != nil && e.epoch == epoch && sameQuery(e.key, k) {
 		sh.lru.MoveToFront(e.elem)
 		c.hits.Add(1)
 		return e, nil, false
 	}
-	fk := flightKey{key: k, epoch: epoch}
+	fk := flightKey{slot: s, epoch: epoch}
 	if f = sh.flights[fk]; f != nil {
-		if f.filter == filter && objectEqual(f.query, q) {
+		if sameQuery(f.key, k) {
 			return nil, f, false
 		}
 		return nil, nil, false // digest collision with the in-flight query
 	}
-	f = &flight{query: q, filter: filter, done: make(chan struct{})}
+	f = &flight{key: k, done: make(chan struct{})}
 	sh.flights[fk] = f
 	return nil, f, true
 }
 
-// release publishes a finished fill: the flight (if any) is closed so
-// waiters wake, and a successful answer is stored under the epoch it
-// observed, evicting LRU entries beyond the shard budget.
-func (c *Cache) release(k key, fk flightKey, f *flight, q core.Object, filter string, epoch uint64, ids []int, nns []core.Neighbor, err error) {
-	sh := c.shardFor(k)
+// release publishes a finished fill: the flight (if any; Put has none)
+// is closed so waiters wake, and a successful answer is stored under the
+// epoch it observed, evicting LRU entries beyond the shard budget.
+func (c *Cache) release(s slot, fk flightKey, f *flight, k Key, epoch uint64, a Answer, err error) {
+	sh := c.shardFor(s)
 	sh.mu.Lock()
 	if f != nil {
 		delete(sh.flights, fk)
 	}
 	if err == nil {
-		c.store(sh, k, q, filter, epoch, ids, nns)
+		c.store(sh, s, k, epoch, a)
 	}
 	sh.mu.Unlock()
 	if f != nil {
@@ -443,23 +391,25 @@ func (c *Cache) release(k key, fk flightKey, f *flight, q core.Object, filter st
 	}
 }
 
-// store inserts or replaces the entry for k. Called with sh.mu held.
-func (c *Cache) store(sh *shard, k key, q core.Object, filter string, epoch uint64, ids []int, nns []core.Neighbor) {
-	size := entrySize(q, ids, nns) + int64(len(filter))
+// store inserts or replaces the entry for s. The entry keeps the whole
+// Key — filter included — so later lookups of the same filtered query
+// pass the equality guard. Called with sh.mu held.
+func (c *Cache) store(sh *shard, s slot, k Key, epoch uint64, a Answer) {
+	size := entrySize(k.Query, a.IDs, a.Neighbors) + int64(len(k.Filter))
 	if size > sh.maxBytes {
 		return // larger than a whole stripe's budget: not cacheable
 	}
-	if old := sh.entries[k]; old != nil {
+	if old := sh.entries[s]; old != nil {
 		if old.epoch > epoch {
 			return // a fill for a newer dataset version already landed
 		}
 		sh.bytes -= old.bytes
 		sh.lru.Remove(old.elem)
-		delete(sh.entries, k)
+		delete(sh.entries, s)
 	}
-	e := &entry{key: k, query: q, epoch: epoch, ids: ids, nns: nns, bytes: size}
+	e := &entry{slot: s, key: k, epoch: epoch, ans: a, bytes: size}
 	e.elem = sh.lru.PushFront(e)
-	sh.entries[k] = e
+	sh.entries[s] = e
 	sh.bytes += size
 	for sh.bytes > sh.maxBytes {
 		back := sh.lru.Back()
@@ -468,7 +418,7 @@ func (c *Cache) store(sh *shard, k key, q core.Object, filter string, epoch uint
 		}
 		victim := back.Value.(*entry)
 		sh.lru.Remove(back)
-		delete(sh.entries, victim.key)
+		delete(sh.entries, victim.slot)
 		sh.bytes -= victim.bytes
 		c.evictions.Add(1)
 	}
@@ -514,8 +464,8 @@ func fnvWord(h uint64, w uint64) uint64 {
 	return h
 }
 
-// digest hashes the query object together with the kind and parameter
-// into the 64-bit FNV-1a key digest. Collisions are guarded by the full
+// digest hashes the query object together with the kind, parameter and
+// filter into the 64-bit FNV-1a key digest. Collisions are guarded by the full
 // objectEqual comparison on every hit, so a collision can only cost a
 // miss, never a wrong answer.
 //
@@ -526,18 +476,18 @@ func fnvWord(h uint64, w uint64) uint64 {
 // library object kinds stay on the annotated path.)
 //
 //metriclint:noalloc
-func digest(q core.Object, kd kind, param uint64, filter string) uint64 {
+func digest(k Key) uint64 {
 	h := uint64(fnvOffset64)
-	h = fnvByte(h, byte(kd))
-	h = fnvWord(h, param)
+	h = fnvByte(h, byte(k.Kind))
+	h = fnvWord(h, k.Param)
 	// The predicate joins the key through its canonical string: an
 	// unfiltered query ("") and any filtered variant of the same (q,
 	// param) hash — and compare — apart.
-	h = fnvWord(h, uint64(len(filter)))
-	for i := 0; i < len(filter); i++ {
-		h = fnvByte(h, filter[i])
+	h = fnvWord(h, uint64(len(k.Filter)))
+	for i := 0; i < len(k.Filter); i++ {
+		h = fnvByte(h, k.Filter[i])
 	}
-	switch v := q.(type) {
+	switch v := k.Query.(type) {
 	case core.Vector:
 		for _, x := range v {
 			h = fnvWord(h, math.Float64bits(x))
@@ -551,7 +501,7 @@ func digest(q core.Object, kd kind, param uint64, filter string) uint64 {
 			h = fnvByte(h, v[i])
 		}
 	default:
-		s := fmt.Sprintf("%#v", q)
+		s := fmt.Sprintf("%#v", k.Query)
 		for i := 0; i < len(s); i++ {
 			h = fnvByte(h, s[i])
 		}

@@ -11,9 +11,37 @@ import (
 	"metricindex/internal/core"
 )
 
-// fillRange adapts a canned answer to the RangeFill shape, counting how
+// rangeFill and knnFill are the per-kind fill shapes the tests write
+// inline; doRange, doKNN and getRange adapt them to the Key/Answer API.
+type (
+	rangeFill func() ([]int, uint64, error)
+	knnFill   func() ([]core.Neighbor, uint64, error)
+)
+
+func doRange(c *Cache, q core.Object, r float64, epoch uint64, fetch rangeFill) ([]int, uint64, error) {
+	a, ep, err := c.Do(RangeKey(q, r, ""), epoch, func() (Answer, uint64, error) {
+		ids, ep, err := fetch()
+		return Answer{IDs: ids}, ep, err
+	})
+	return a.IDs, ep, err
+}
+
+func doKNN(c *Cache, q core.Object, k int, epoch uint64, fetch knnFill) ([]core.Neighbor, uint64, error) {
+	a, ep, err := c.Do(KNNKey(q, k, ""), epoch, func() (Answer, uint64, error) {
+		nns, ep, err := fetch()
+		return Answer{Neighbors: nns}, ep, err
+	})
+	return a.Neighbors, ep, err
+}
+
+func getRange(c *Cache, q core.Object, r float64, epoch uint64) ([]int, bool) {
+	a, ok := c.Get(RangeKey(q, r, ""), epoch)
+	return a.IDs, ok
+}
+
+// fillRange adapts a canned answer to the rangeFill shape, counting how
 // often it actually computes.
-func fillRange(calls *atomic.Int64, ids []int, epoch uint64) RangeFill {
+func fillRange(calls *atomic.Int64, ids []int, epoch uint64) rangeFill {
 	return func() ([]int, uint64, error) {
 		calls.Add(1)
 		return ids, epoch, nil
@@ -25,7 +53,7 @@ func TestRangeHitMissAndEpochInvalidation(t *testing.T) {
 	q := core.Vector{1, 2, 3}
 	var calls atomic.Int64
 
-	ids, ep, err := c.Range(q, 5, 7, fillRange(&calls, []int{1, 2, 3}, 7))
+	ids, ep, err := doRange(c, q, 5, 7, fillRange(&calls, []int{1, 2, 3}, 7))
 	if err != nil || ep != 7 || len(ids) != 3 {
 		t.Fatalf("cold fill: ids=%v ep=%d err=%v", ids, ep, err)
 	}
@@ -34,7 +62,7 @@ func TestRangeHitMissAndEpochInvalidation(t *testing.T) {
 	}
 
 	// Same query, same epoch: served from cache, no compute.
-	ids2, ep2, err := c.Range(q, 5, 7, fillRange(&calls, nil, 0))
+	ids2, ep2, err := doRange(c, q, 5, 7, fillRange(&calls, nil, 0))
 	if err != nil || ep2 != 7 {
 		t.Fatalf("hit: ep=%d err=%v", ep2, err)
 	}
@@ -46,13 +74,13 @@ func TestRangeHitMissAndEpochInvalidation(t *testing.T) {
 	}
 	// Returned slices are private copies.
 	ids2[0] = 999
-	ids3, _, _ := c.Range(q, 5, 7, fillRange(&calls, nil, 0))
+	ids3, _, _ := doRange(c, q, 5, 7, fillRange(&calls, nil, 0))
 	if ids3[0] == 999 {
 		t.Fatal("cached answer aliased a caller's slice")
 	}
 
 	// Epoch bump: the entry self-invalidates, the fill replaces it.
-	ids4, ep4, err := c.Range(q, 5, 8, fillRange(&calls, []int{9}, 8))
+	ids4, ep4, err := doRange(c, q, 5, 8, fillRange(&calls, []int{9}, 8))
 	if err != nil || ep4 != 8 || len(ids4) != 1 || ids4[0] != 9 {
 		t.Fatalf("post-bump fill: ids=%v ep=%d err=%v", ids4, ep4, err)
 	}
@@ -61,10 +89,10 @@ func TestRangeHitMissAndEpochInvalidation(t *testing.T) {
 	}
 	// The old-epoch answer is gone: a lookup at epoch 7 misses too
 	// (replaced in place, not versioned).
-	if _, ok := c.GetRange(q, 5, 7); ok {
+	if _, ok := getRange(c, q, 5, 7); ok {
 		t.Fatal("pre-bump answer survived the epoch bump")
 	}
-	if got, ok := c.GetRange(q, 5, 8); !ok || len(got) != 1 || got[0] != 9 {
+	if got, ok := getRange(c, q, 5, 8); !ok || len(got) != 1 || got[0] != 9 {
 		t.Fatalf("current-epoch answer: got=%v ok=%v", got, ok)
 	}
 
@@ -78,7 +106,7 @@ func TestKNNHitAndParamSeparation(t *testing.T) {
 	c := New(Options{})
 	q := core.Word("hello")
 	var calls atomic.Int64
-	fill := func(n int) KNNFill {
+	fill := func(n int) knnFill {
 		return func() ([]core.Neighbor, uint64, error) {
 			calls.Add(1)
 			nns := make([]core.Neighbor, n)
@@ -88,17 +116,17 @@ func TestKNNHitAndParamSeparation(t *testing.T) {
 			return nns, 3, nil
 		}
 	}
-	if _, _, err := c.KNN(q, 5, 3, fill(5)); err != nil {
+	if _, _, err := doKNN(c, q, 5, 3, fill(5)); err != nil {
 		t.Fatal(err)
 	}
 	// Different k is a different entry.
-	if _, _, err := c.KNN(q, 10, 3, fill(10)); err != nil {
+	if _, _, err := doKNN(c, q, 10, 3, fill(10)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("k=5 and k=10 must fill separately; computed %d", calls.Load())
 	}
-	nns, _, err := c.KNN(q, 5, 3, fill(0))
+	nns, _, err := doKNN(c, q, 5, 3, fill(0))
 	if err != nil || len(nns) != 5 {
 		t.Fatalf("k=5 hit: %v %v", nns, err)
 	}
@@ -106,7 +134,7 @@ func TestKNNHitAndParamSeparation(t *testing.T) {
 		t.Fatal("k=5 hit recomputed")
 	}
 	// A range lookup with the same bits must not alias the kNN entry.
-	if _, ok := c.GetRange(q, float64(5), 3); ok {
+	if _, ok := getRange(c, q, float64(5), 3); ok {
 		t.Fatal("range lookup hit a kNN entry")
 	}
 }
@@ -116,7 +144,7 @@ func TestDistinctQueriesDistinctEntries(t *testing.T) {
 	var calls atomic.Int64
 	for i := 0; i < 50; i++ {
 		q := core.Vector{float64(i)}
-		if _, _, err := c.Range(q, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
+		if _, _, err := doRange(c, q, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +152,7 @@ func TestDistinctQueriesDistinctEntries(t *testing.T) {
 		t.Fatalf("50 distinct queries computed %d times", calls.Load())
 	}
 	for i := 0; i < 50; i++ {
-		ids, ok := c.GetRange(core.Vector{float64(i)}, 1, 1)
+		ids, ok := getRange(c, core.Vector{float64(i)}, 1, 1)
 		if !ok || len(ids) != 1 || ids[0] != i {
 			t.Fatalf("query %d: got %v ok=%v", i, ids, ok)
 		}
@@ -138,7 +166,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	var calls atomic.Int64
 	for i := 0; i < 100; i++ {
 		q := core.Vector{float64(i)}
-		if _, _, err := c.Range(q, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
+		if _, _, err := doRange(c, q, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,10 +181,10 @@ func TestByteBudgetEviction(t *testing.T) {
 		t.Fatal("eviction emptied the cache entirely")
 	}
 	// The most recent entry survives, the oldest is gone.
-	if _, ok := c.GetRange(core.Vector{99}, 1, 1); !ok {
+	if _, ok := getRange(c, core.Vector{99}, 1, 1); !ok {
 		t.Fatal("most recently filled entry was evicted")
 	}
-	if _, ok := c.GetRange(core.Vector{0}, 1, 1); ok {
+	if _, ok := getRange(c, core.Vector{0}, 1, 1); ok {
 		t.Fatal("oldest entry survived a full wrap of the budget")
 	}
 }
@@ -165,7 +193,7 @@ func TestLRUTouchOnHit(t *testing.T) {
 	c := New(Options{MaxBytes: 3 * 200, Shards: 1}) // ~3 entries
 	var calls atomic.Int64
 	put := func(i int) {
-		if _, _, err := c.Range(core.Vector{float64(i)}, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
+		if _, _, err := doRange(c, core.Vector{float64(i)}, 1, 1, fillRange(&calls, []int{i}, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,11 +201,11 @@ func TestLRUTouchOnHit(t *testing.T) {
 	put(1)
 	put(2)
 	// Touch 0 so 1 becomes the LRU victim of the next insert.
-	if _, ok := c.GetRange(core.Vector{0}, 1, 1); !ok {
+	if _, ok := getRange(c, core.Vector{0}, 1, 1); !ok {
 		t.Fatal("entry 0 missing")
 	}
 	put(3)
-	if _, ok := c.GetRange(core.Vector{0}, 1, 1); !ok {
+	if _, ok := getRange(c, core.Vector{0}, 1, 1); !ok {
 		t.Fatal("recently touched entry was evicted before the LRU one")
 	}
 }
@@ -186,7 +214,7 @@ func TestOversizedAnswerNotCached(t *testing.T) {
 	c := New(Options{MaxBytes: 256, Shards: 1})
 	big := make([]int, 10000)
 	var calls atomic.Int64
-	if _, _, err := c.Range(core.Word("q"), 1, 1, fillRange(&calls, big, 1)); err != nil {
+	if _, _, err := doRange(c, core.Word("q"), 1, 1, fillRange(&calls, big, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -199,17 +227,17 @@ func TestFillErrorNotCached(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	fail := func() ([]int, uint64, error) { calls.Add(1); return nil, 0, boom }
-	if _, _, err := c.Range(core.Word("q"), 1, 1, fail); !errors.Is(err, boom) {
+	if _, _, err := doRange(c, core.Word("q"), 1, 1, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	// The error must not be cached: the next attempt computes again.
-	if _, _, err := c.Range(core.Word("q"), 1, 1, fillRange(&calls, []int{1}, 1)); err != nil {
+	if _, _, err := doRange(c, core.Word("q"), 1, 1, fillRange(&calls, []int{1}, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("computed %d times, want 2", calls.Load())
 	}
-	if ids, ok := c.GetRange(core.Word("q"), 1, 1); !ok || len(ids) != 1 {
+	if ids, ok := getRange(c, core.Word("q"), 1, 1); !ok || len(ids) != 1 {
 		t.Fatalf("recovered answer not cached: %v %v", ids, ok)
 	}
 }
@@ -238,14 +266,14 @@ func TestSingleflightCollapse(t *testing.T) {
 	wg.Add(1)
 	go func() { // the leader
 		defer wg.Done()
-		_, _, _ = c.Range(q, 1, 5, slow)
+		_, _, _ = doRange(c, q, 1, 5, slow)
 	}()
 	<-entered // the leader is inside the fetch and blocked on unblock
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = c.Range(q, 1, 5, slow)
+			results[i], _, errs[i] = doRange(c, q, 1, 5, slow)
 		}(i)
 	}
 	// Give the waiters time to park on the flight; the leader cannot
@@ -285,7 +313,7 @@ func TestSingleflightEpochIsolation(t *testing.T) {
 	oldEntered := make(chan struct{})
 	oldUnblock := make(chan struct{})
 	go func() {
-		_, _, _ = c.Range(q, 1, 1, func() ([]int, uint64, error) {
+		_, _, _ = doRange(c, q, 1, 1, func() ([]int, uint64, error) {
 			close(oldEntered)
 			<-oldUnblock
 			return []int{1}, 1, nil
@@ -299,7 +327,7 @@ func TestSingleflightEpochIsolation(t *testing.T) {
 	var ep uint64
 	go func() {
 		defer close(done)
-		got, ep, _ = c.Range(q, 1, 2, func() ([]int, uint64, error) {
+		got, ep, _ = doRange(c, q, 1, 2, func() ([]int, uint64, error) {
 			return []int{2}, 2, nil
 		})
 	}()
@@ -325,7 +353,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 				epoch := uint64(i % 3)
 				switch (g + i) % 3 {
 				case 0:
-					ids, ep, err := c.Range(q, 2, epoch, func() ([]int, uint64, error) {
+					ids, ep, err := doRange(c, q, 2, epoch, func() ([]int, uint64, error) {
 						return []int{i % 17}, epoch, nil
 					})
 					if err != nil || ep != epoch || len(ids) != 1 {
@@ -333,7 +361,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 						return
 					}
 				case 1:
-					nns, ep, err := c.KNN(q, 3, epoch, func() ([]core.Neighbor, uint64, error) {
+					nns, ep, err := doKNN(c, q, 3, epoch, func() ([]core.Neighbor, uint64, error) {
 						return []core.Neighbor{{ID: i % 17}}, epoch, nil
 					})
 					if err != nil || ep != epoch || len(nns) != 1 {
@@ -341,7 +369,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 						return
 					}
 				default:
-					c.GetRange(q, 2, epoch)
+					getRange(c, q, 2, epoch)
 					c.Stats()
 				}
 			}
@@ -352,7 +380,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		q := core.Vector{float64(i)}
 		for ep := uint64(0); ep < 3; ep++ {
-			if ids, ok := c.GetRange(q, 2, ep); ok && ids[0] != i {
+			if ids, ok := getRange(c, q, 2, ep); ok && ids[0] != i {
 				t.Fatalf("query %d@%d served %v", i, ep, ids)
 			}
 		}
@@ -362,16 +390,16 @@ func TestConcurrentMixedUse(t *testing.T) {
 func TestWordAndIntVectorKeys(t *testing.T) {
 	c := New(Options{})
 	var calls atomic.Int64
-	if _, _, err := c.Range(core.IntVector{1, 2}, 1, 1, fillRange(&calls, []int{1}, 1)); err != nil {
+	if _, _, err := doRange(c, core.IntVector{1, 2}, 1, 1, fillRange(&calls, []int{1}, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.GetRange(core.IntVector{1, 2}, 1, 1); !ok {
+	if _, ok := getRange(c, core.IntVector{1, 2}, 1, 1); !ok {
 		t.Fatal("IntVector key missed")
 	}
-	if _, ok := c.GetRange(core.IntVector{1, 3}, 1, 1); ok {
+	if _, ok := getRange(c, core.IntVector{1, 3}, 1, 1); ok {
 		t.Fatal("distinct IntVector hit")
 	}
-	if _, ok := c.GetRange(core.Vector{1, 2}, 1, 1); ok {
+	if _, ok := getRange(c, core.Vector{1, 2}, 1, 1); ok {
 		t.Fatal("Vector hit an IntVector entry")
 	}
 }
@@ -388,7 +416,7 @@ func TestFillPanicReleasesFlight(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		_, _, _ = c.Range(q, 1, 4, func() ([]int, uint64, error) {
+		_, _, _ = doRange(c, q, 1, 4, func() ([]int, uint64, error) {
 			close(entered)
 			<-unblock
 			panic("index exploded")
@@ -398,7 +426,7 @@ func TestFillPanicReleasesFlight(t *testing.T) {
 
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Range(q, 1, 4, func() ([]int, uint64, error) {
+		_, _, err := doRange(c, q, 1, 4, func() ([]int, uint64, error) {
 			return []int{1}, 4, nil
 		})
 		waiterDone <- err
@@ -423,8 +451,47 @@ func TestFillPanicReleasesFlight(t *testing.T) {
 
 	// The flight is gone and nothing was cached: the next call computes.
 	var calls atomic.Int64
-	ids, ep, err := c.Range(q, 1, 4, fillRange(&calls, []int{9}, 4))
+	ids, ep, err := doRange(c, q, 1, 4, fillRange(&calls, []int{9}, 4))
 	if err != nil || calls.Load() != 1 || len(ids) != 1 || ids[0] != 9 || ep != 4 {
 		t.Fatalf("post-panic fill: ids=%v ep=%d err=%v calls=%d", ids, ep, err, calls.Load())
+	}
+}
+
+// TestFilteredAnswerHits: a filtered answer is stored with its filter,
+// so the identical filtered query hits, while the unfiltered query and
+// a different predicate over the same (q, r) never see it.
+func TestFilteredAnswerHits(t *testing.T) {
+	c := New(Options{})
+	q := core.Vector{4, 2}
+	k := RangeKey(q, 3, `tags = "hot"`)
+	var calls atomic.Int64
+	fill := func() (Answer, uint64, error) {
+		calls.Add(1)
+		return Answer{IDs: []int{1, 4}}, 6, nil
+	}
+	for i := 0; i < 2; i++ {
+		a, ep, err := c.Do(k, 6, fill)
+		if err != nil || ep != 6 || len(a.IDs) != 2 {
+			t.Fatalf("call %d: ids=%v ep=%d err=%v", i, a.IDs, ep, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("two identical filtered queries ran %d fills; want 1", n)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats after fill+repeat: %+v", st)
+	}
+	if a, ok := c.Get(k, 6); !ok || len(a.IDs) != 2 {
+		t.Fatalf("Get of the filtered key: %v %v", a.IDs, ok)
+	}
+	if _, ok := c.Get(RangeKey(q, 3, ""), 6); ok {
+		t.Fatal("unfiltered lookup hit a filtered entry")
+	}
+	if _, ok := c.Get(RangeKey(q, 3, `tags = "cold"`), 6); ok {
+		t.Fatal("a different predicate hit the entry")
+	}
+	c.Put(KNNKey(q, 2, `level >= 1`), 6, Answer{Neighbors: []core.Neighbor{{ID: 3, Dist: 1}}})
+	if a, ok := c.Get(KNNKey(q, 2, `level >= 1`), 6); !ok || len(a.Neighbors) != 1 {
+		t.Fatalf("Put filtered kNN answer not served: %v %v", a.Neighbors, ok)
 	}
 }

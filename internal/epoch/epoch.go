@@ -110,7 +110,7 @@ func NewLive(ds *core.Dataset, idx core.Index) *Live {
 }
 
 // SetCache attaches (or, with nil, detaches) an epoch-keyed answer
-// cache. Subsequent RangeSearch/KNNSearch calls consult it before
+// cache. Subsequent searches consult it before
 // touching the index: a hit returns the memoized answer — byte-identical
 // to a fresh search, zero compdists, zero page accesses — and concurrent
 // identical misses collapse onto one search. Correctness needs no
@@ -130,28 +130,6 @@ func (l *Live) CacheStats() (cache.Stats, bool) {
 		return cache.Stats{}, false
 	}
 	return c.Stats(), true
-}
-
-// PeekRange returns the cached MRQ answer valid at the current epoch
-// without computing anything on a miss — the batch engine's
-// pre-dispatch probe (exec.AnswerCached). The returned slice is a
-// private copy.
-func (l *Live) PeekRange(q core.Object, r float64) ([]int, bool) {
-	c := l.cache.Load()
-	if c == nil {
-		return nil, false
-	}
-	return c.GetRange(q, r, l.Epoch())
-}
-
-// PeekKNN returns the cached MkNNQ answer valid at the current epoch
-// without computing anything on a miss (see PeekRange).
-func (l *Live) PeekKNN(q core.Object, k int) ([]core.Neighbor, bool) {
-	c := l.cache.Load()
-	if c == nil {
-		return nil, false
-	}
-	return c.GetKNN(q, k, l.Epoch())
 }
 
 // SetJournal attaches (or, with nil, detaches) a write-ahead journal.
@@ -564,35 +542,18 @@ func (l *Live) Name() string {
 	return l.idx.Name()
 }
 
-// RangeSearch answers MRQ(q, r) in a read section.
+// RangeSearch answers MRQ(q, r) in a read section (the core.Index
+// contract; Search is the full query path).
 func (l *Live) RangeSearch(q core.Object, r float64) ([]int, error) {
 	ids, _, err := l.RangeSearchAt(q, r)
 	return ids, err
 }
 
 // RangeSearchAt is RangeSearch reporting also the epoch the search
-// observed. Because answer and epoch come from the same read section,
-// the pair is a valid cache entry: the answer is exactly the dataset
-// version the epoch names (an Epoch() call after the search could
-// already include later writes the answer does not). With a cache
-// attached (SetCache) the answer may be served memoized — still exactly
-// the pair some read section produced at the reported epoch.
+// observed (see Answer.Epoch).
 func (l *Live) RangeSearchAt(q core.Object, r float64) ([]int, uint64, error) {
-	if c := l.cache.Load(); c != nil {
-		return c.Range(q, r, l.Epoch(), func() ([]int, uint64, error) {
-			return l.rangeDirect(q, r)
-		})
-	}
-	return l.rangeDirect(q, r)
-}
-
-// rangeDirect is the uncached read section behind RangeSearchAt — and
-// the cache's fill function on a miss.
-func (l *Live) rangeDirect(q core.Object, r float64) ([]int, uint64, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	ids, err := l.idx.RangeSearch(q, r)
-	return ids, l.epoch, err
+	a, err := l.Search(Query{Object: q, Kind: KindRange, R: r})
+	return a.IDs, a.Epoch, err
 }
 
 // KNNSearch answers MkNNQ(q, k) in a read section.
@@ -601,23 +562,10 @@ func (l *Live) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return nns, err
 }
 
-// KNNSearchAt is KNNSearch reporting also the epoch the search observed
-// (see RangeSearchAt).
+// KNNSearchAt is KNNSearch reporting also the epoch the search observed.
 func (l *Live) KNNSearchAt(q core.Object, k int) ([]core.Neighbor, uint64, error) {
-	if c := l.cache.Load(); c != nil {
-		return c.KNN(q, k, l.Epoch(), func() ([]core.Neighbor, uint64, error) {
-			return l.knnDirect(q, k)
-		})
-	}
-	return l.knnDirect(q, k)
-}
-
-// knnDirect is the uncached read section behind KNNSearchAt.
-func (l *Live) knnDirect(q core.Object, k int) ([]core.Neighbor, uint64, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	nns, err := l.idx.KNNSearch(q, k)
-	return nns, l.epoch, err
+	a, err := l.Search(Query{Object: q, Kind: KindKNN, K: k})
+	return a.Neighbors, a.Epoch, err
 }
 
 // PageAccesses reports the wrapped index's counter.

@@ -5,77 +5,8 @@ import (
 	"metricindex/internal/plan"
 )
 
-// Filtered search: the planner runs inside the same read section as the
-// probe it plans, so the selectivity estimate, the strategy choice, and
-// the answer all observe one dataset version. The returned Strategy is
-// the plan that produced the answer; the zero value means the answer
-// was served from the epoch-keyed cache (no plan ran at all).
-//
-// Filtered answers share the answer cache with unfiltered ones: the
-// predicate's canonical string joins the cache key, so the same (q,
-// param) with different filters — or no filter — can never collide.
-//
-// The pre-filter strategy scans the dataset, so filtered search assumes
-// the dataset-managed write paths (Add/Remove): after an index-only
-// Insert/Delete the dataset and index disagree about liveness and the
-// strategies would disagree about the answer.
-
-// RangeSearchFiltered answers MRQ(q, r) restricted to objects whose
-// attribute bag satisfies p. A nil predicate is the unfiltered search.
-func (l *Live) RangeSearchFiltered(q core.Object, r float64, p *plan.Predicate) ([]int, uint64, plan.Strategy, error) {
-	if p == nil {
-		ids, ep, err := l.RangeSearchAt(q, r)
-		return ids, ep, 0, err
-	}
-	if c := l.cache.Load(); c != nil {
-		var st plan.Strategy
-		ids, ep, err := c.RangeFiltered(q, r, p.String(), l.Epoch(), func() ([]int, uint64, error) {
-			ids, ep, s, err := l.rangeFilteredDirect(q, r, p)
-			st = s
-			return ids, ep, err
-		})
-		// st is still 0 when the cache answered (or another caller's
-		// in-flight fill was joined): no plan ran for this query.
-		return ids, ep, st, err
-	}
-	return l.rangeFilteredDirect(q, r, p)
-}
-
-func (l *Live) rangeFilteredDirect(q core.Object, r float64, p *plan.Predicate) ([]int, uint64, plan.Strategy, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	ids, st, err := plan.RunRange(l.ds, l.idx, l.stats, p, q, r)
-	l.planCount(st)
-	return ids, l.epoch, st, err
-}
-
-// KNNSearchFiltered answers MkNNQ(q, k) over objects whose attribute
-// bag satisfies p (see RangeSearchFiltered). Fewer than k neighbors are
-// returned only when fewer than k live objects match.
-func (l *Live) KNNSearchFiltered(q core.Object, k int, p *plan.Predicate) ([]core.Neighbor, uint64, plan.Strategy, error) {
-	if p == nil {
-		nns, ep, err := l.KNNSearchAt(q, k)
-		return nns, ep, 0, err
-	}
-	if c := l.cache.Load(); c != nil {
-		var st plan.Strategy
-		nns, ep, err := c.KNNFiltered(q, k, p.String(), l.Epoch(), func() ([]core.Neighbor, uint64, error) {
-			nns, ep, s, err := l.knnFilteredDirect(q, k, p)
-			st = s
-			return nns, ep, err
-		})
-		return nns, ep, st, err
-	}
-	return l.knnFilteredDirect(q, k, p)
-}
-
-func (l *Live) knnFilteredDirect(q core.Object, k int, p *plan.Predicate) ([]core.Neighbor, uint64, plan.Strategy, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	nns, st, err := plan.RunKNN(l.ds, l.idx, l.stats, p, q, k)
-	l.planCount(st)
-	return nns, l.epoch, st, err
-}
+// Filtered search itself runs through Search (Query.Filter); this file
+// holds the attribute write path and the planner's estimator hooks.
 
 // Selectivity estimates, in a read section, the fraction of live
 // objects matching p — the planner's input, exposed for the stats

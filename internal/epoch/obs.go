@@ -3,9 +3,7 @@ package epoch
 import (
 	"time"
 
-	"metricindex/internal/core"
 	"metricindex/internal/obs"
-	"metricindex/internal/plan"
 )
 
 // Obs carries the metric handles Live updates on its write and swap
@@ -44,242 +42,4 @@ func (l *Live) writeWait(waited time.Duration) {
 	if m := l.metrics.Load(); m != nil {
 		m.WriteWait.Observe(waited.Seconds())
 	}
-}
-
-// rangeTracer and knnTracer are the optional interfaces of wrapped
-// indexes that can attribute trace spans below the read section (the
-// sharded front records per-shard probes and the merge).
-type rangeTracer interface {
-	RangeSearchTraced(q core.Object, r float64, tr *obs.Trace) ([]int, error)
-}
-
-type knnTracer interface {
-	KNNSearchTraced(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, error)
-}
-
-// RangeSearchTraced is RangeSearchAt recording the query's span
-// timeline into tr: cache_probe (when a cache is attached), read_wait
-// (time to acquire the read lock), and read_section with the compdists
-// and page-access deltas the search spent. A nil tr degrades to
-// RangeSearchAt.
-//
-// Traced misses bypass the cache's singleflight (collapsing onto
-// another caller's fill would time that caller's work, not this
-// query's) but still store their answer, so tracing a cold query warms
-// the cache exactly like an untraced one.
-func (l *Live) RangeSearchTraced(q core.Object, r float64, tr *obs.Trace) ([]int, uint64, error) {
-	if tr == nil {
-		return l.RangeSearchAt(q, r)
-	}
-	if c := l.cache.Load(); c != nil {
-		probeStart := time.Now()
-		ep := l.Epoch()
-		ids, ok := c.GetRange(q, r, ep)
-		tr.Add("cache_probe", probeStart, time.Since(probeStart), 0, 0)
-		if ok {
-			return ids, ep, nil
-		}
-		ids, obsEp, err := l.rangeDirectTraced(q, r, tr)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.PutRange(q, r, obsEp, ids)
-		return ids, obsEp, nil
-	}
-	return l.rangeDirectTraced(q, r, tr)
-}
-
-// KNNSearchTraced is KNNSearchAt with the span timeline of
-// RangeSearchTraced.
-func (l *Live) KNNSearchTraced(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, uint64, error) {
-	if tr == nil {
-		return l.KNNSearchAt(q, k)
-	}
-	if c := l.cache.Load(); c != nil {
-		probeStart := time.Now()
-		ep := l.Epoch()
-		nns, ok := c.GetKNN(q, k, ep)
-		tr.Add("cache_probe", probeStart, time.Since(probeStart), 0, 0)
-		if ok {
-			return nns, ep, nil
-		}
-		nns, obsEp, err := l.knnDirectTraced(q, k, tr)
-		if err != nil {
-			return nil, 0, err
-		}
-		c.PutKNN(q, k, obsEp, nns)
-		return nns, obsEp, nil
-	}
-	return l.knnDirectTraced(q, k, tr)
-}
-
-// RangeSearchFilteredTraced is RangeSearchFiltered recording the span
-// timeline of RangeSearchTraced plus a plan span carrying the strategy
-// decision (see rangeFilteredDirectTraced). A nil tr degrades to
-// RangeSearchFiltered; a nil predicate to RangeSearchTraced.
-func (l *Live) RangeSearchFilteredTraced(q core.Object, r float64, p *plan.Predicate, tr *obs.Trace) ([]int, uint64, plan.Strategy, error) {
-	if tr == nil {
-		return l.RangeSearchFiltered(q, r, p)
-	}
-	if p == nil {
-		ids, ep, err := l.RangeSearchTraced(q, r, tr)
-		return ids, ep, 0, err
-	}
-	if c := l.cache.Load(); c != nil {
-		probeStart := time.Now()
-		ep := l.Epoch()
-		ids, ok := c.GetRangeFiltered(q, r, p.String(), ep)
-		tr.Add("cache_probe", probeStart, time.Since(probeStart), 0, 0)
-		if ok {
-			return ids, ep, 0, nil
-		}
-		ids, obsEp, st, err := l.rangeFilteredDirectTraced(q, r, p, tr)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		c.PutRangeFiltered(q, r, p.String(), obsEp, ids)
-		return ids, obsEp, st, err
-	}
-	return l.rangeFilteredDirectTraced(q, r, p, tr)
-}
-
-// KNNSearchFilteredTraced is KNNSearchFiltered with the span timeline
-// of RangeSearchFilteredTraced.
-func (l *Live) KNNSearchFilteredTraced(q core.Object, k int, p *plan.Predicate, tr *obs.Trace) ([]core.Neighbor, uint64, plan.Strategy, error) {
-	if tr == nil {
-		return l.KNNSearchFiltered(q, k, p)
-	}
-	if p == nil {
-		nns, ep, err := l.KNNSearchTraced(q, k, tr)
-		return nns, ep, 0, err
-	}
-	if c := l.cache.Load(); c != nil {
-		probeStart := time.Now()
-		ep := l.Epoch()
-		nns, ok := c.GetKNNFiltered(q, k, p.String(), ep)
-		tr.Add("cache_probe", probeStart, time.Since(probeStart), 0, 0)
-		if ok {
-			return nns, ep, 0, nil
-		}
-		nns, obsEp, st, err := l.knnFilteredDirectTraced(q, k, p, tr)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		c.PutKNNFiltered(q, k, p.String(), obsEp, nns)
-		return nns, obsEp, st, err
-	}
-	return l.knnFilteredDirectTraced(q, k, p, tr)
-}
-
-// rangeFilteredDirectTraced is rangeFilteredDirect with read_wait, plan
-// and read_section spans. The plan span times the selectivity estimate
-// and strategy choice; the strategy itself rides back on the return
-// value (span labels carry no payload).
-func (l *Live) rangeFilteredDirectTraced(q core.Object, r float64, p *plan.Predicate, tr *obs.Trace) ([]int, uint64, plan.Strategy, error) {
-	waitStart := time.Now()
-	l.mu.RLock()
-	waited := time.Since(waitStart)
-	defer l.mu.RUnlock()
-	tr.Add("read_wait", waitStart, waited, 0, 0)
-	planStart := time.Now()
-	sel := l.stats.Selectivity(p)
-	st := plan.Choose(sel, l.ds.Count(), plan.Capable(l.idx))
-	tr.Add("plan", planStart, time.Since(planStart), 0, 0)
-	compBase := l.ds.Space().CompDists()
-	paBase := l.idx.PageAccesses()
-	secStart := time.Now()
-	ids, err := plan.ExecRange(l.ds, l.idx, p, q, r, st)
-	dur := time.Since(secStart)
-	pa := l.idx.PageAccesses() - paBase
-	if pa < 0 {
-		pa = 0
-	}
-	tr.Add("read_section", secStart, dur, l.ds.Space().CompDists()-compBase, pa)
-	l.planCount(st)
-	return ids, l.epoch, st, err
-}
-
-// knnFilteredDirectTraced is the kNN counterpart of
-// rangeFilteredDirectTraced.
-func (l *Live) knnFilteredDirectTraced(q core.Object, k int, p *plan.Predicate, tr *obs.Trace) ([]core.Neighbor, uint64, plan.Strategy, error) {
-	waitStart := time.Now()
-	l.mu.RLock()
-	waited := time.Since(waitStart)
-	defer l.mu.RUnlock()
-	tr.Add("read_wait", waitStart, waited, 0, 0)
-	planStart := time.Now()
-	sel := l.stats.Selectivity(p)
-	st := plan.Choose(sel, l.ds.Count(), plan.Capable(l.idx))
-	tr.Add("plan", planStart, time.Since(planStart), 0, 0)
-	compBase := l.ds.Space().CompDists()
-	paBase := l.idx.PageAccesses()
-	secStart := time.Now()
-	nns, err := plan.ExecKNN(l.ds, l.idx, p, q, k, st, sel)
-	dur := time.Since(secStart)
-	pa := l.idx.PageAccesses() - paBase
-	if pa < 0 {
-		pa = 0
-	}
-	tr.Add("read_section", secStart, dur, l.ds.Space().CompDists()-compBase, pa)
-	l.planCount(st)
-	return nns, l.epoch, st, err
-}
-
-// rangeDirectTraced is rangeDirect with read_wait and read_section
-// spans. Cost deltas are read inside the section from the structures
-// the section already guards (never via the re-locking accessors, which
-// could deadlock behind a queued writer). Compdists flow through the
-// Space shared by every concurrent query, so under concurrency a span's
-// delta can include neighbors' work — exact when one traced query runs
-// alone, an upper bound otherwise.
-func (l *Live) rangeDirectTraced(q core.Object, r float64, tr *obs.Trace) ([]int, uint64, error) {
-	waitStart := time.Now()
-	l.mu.RLock()
-	waited := time.Since(waitStart)
-	defer l.mu.RUnlock()
-	tr.Add("read_wait", waitStart, waited, 0, 0)
-	compBase := l.ds.Space().CompDists()
-	paBase := l.idx.PageAccesses()
-	secStart := time.Now()
-	var ids []int
-	var err error
-	if ti, ok := l.idx.(rangeTracer); ok {
-		ids, err = ti.RangeSearchTraced(q, r, tr)
-	} else {
-		ids, err = l.idx.RangeSearch(q, r)
-	}
-	dur := time.Since(secStart)
-	pa := l.idx.PageAccesses() - paBase
-	if pa < 0 {
-		pa = 0
-	}
-	tr.Add("read_section", secStart, dur, l.ds.Space().CompDists()-compBase, pa)
-	return ids, l.epoch, err
-}
-
-// knnDirectTraced is knnDirect with read_wait and read_section spans;
-// see rangeDirectTraced.
-func (l *Live) knnDirectTraced(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, uint64, error) {
-	waitStart := time.Now()
-	l.mu.RLock()
-	waited := time.Since(waitStart)
-	defer l.mu.RUnlock()
-	tr.Add("read_wait", waitStart, waited, 0, 0)
-	compBase := l.ds.Space().CompDists()
-	paBase := l.idx.PageAccesses()
-	secStart := time.Now()
-	var nns []core.Neighbor
-	var err error
-	if ti, ok := l.idx.(knnTracer); ok {
-		nns, err = ti.KNNSearchTraced(q, k, tr)
-	} else {
-		nns, err = l.idx.KNNSearch(q, k)
-	}
-	dur := time.Since(secStart)
-	pa := l.idx.PageAccesses() - paBase
-	if pa < 0 {
-		pa = 0
-	}
-	tr.Add("read_section", secStart, dur, l.ds.Space().CompDists()-compBase, pa)
-	return nns, l.epoch, err
 }

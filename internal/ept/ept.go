@@ -258,6 +258,16 @@ func (e *EPT) useFlat() bool {
 	return e.hasKern && e.flat != nil && e.flat.Rows() == len(e.ids)
 }
 
+// flatQuery widens q into scratch for the flat verification path; ok is
+// false when the path is not armed or q does not fit the mirror (the
+// query then verifies through Objects).
+func (e *EPT) flatQuery(q core.Object, sc *core.Scratch) (q64 []float64, q32 []float32, ok bool) {
+	if !e.useFlat() {
+		return nil, nil, false
+	}
+	return e.flat.QueryCoords(q, sc)
+}
+
 // queryPrep draws scratch, sizes the survivor and chunk buffers, and
 // computes the query's distance to every pooled pivot through the batch
 // kernel (the m·l term of the query cost). Per-row pruning happens in
@@ -275,47 +285,64 @@ func (e *EPT) queryPrep(q core.Object) *core.Scratch {
 // as LAESA, §3.2): an indexed column sweep applies Lemma 1 per private
 // pivot set, then survivors are verified.
 func (e *EPT) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return e.RangeSearchAccept(q, r, nil)
+}
+
+// RangeSearchAccept is RangeSearch restricted to accepted ids
+// (core.AcceptSearcher, the EPT twin of the LAESA probe filter); a nil
+// accept accepts every id. The accept test runs on every row that
+// survives the indexed column sweep, before its distance is computed, so
+// rejected candidates cost zero compdists while Lemma 1 pruning is
+// untouched.
+func (e *EPT) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
 	sc := e.queryPrep(q)
 	sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, 0, len(e.ids), r)
 	var res []int
-	if e.useFlat() {
-		if q64, q32, ok := e.flat.QueryCoords(q, sc); ok {
-			res = e.rangeFlat(q64, q32, sur, r)
-			e.scratch.Put(sc)
-			sort.Ints(res)
-			return res, nil
-		}
+	if q64, q32, ok := e.flatQuery(q, sc); ok {
+		res = e.rangeFlat(q64, q32, sur, r, accept)
+	} else {
+		res = e.rangeObjs(q, sc, sur, r, accept)
 	}
-	res = e.rangeObjs(q, sc, sur, r)
 	e.scratch.Put(sc)
 	sort.Ints(res)
 	return res, nil
 }
 
-// rangeFlat verifies the surviving rows through the flat kernel.
-func (e *EPT) rangeFlat(q64 []float64, q32 []float32, sur []int32, r float64) []int {
+// rangeFlat verifies the accepted surviving rows through the flat
+// kernel.
+func (e *EPT) rangeFlat(q64 []float64, q32 []float32, sur []int32, r float64, accept core.Accept) []int {
 	var res []int
+	ndist := 0
 	for _, row := range sur {
+		id := int(e.ids[row])
+		if accept != nil && !accept(id) {
+			continue
+		}
 		pre := e.flat.Pre(&e.kern, q64, q32, int(row))
+		ndist++
 		if e.kern.Exceeds(pre, r) {
 			continue
 		}
 		if e.kern.Finish(pre) <= r {
-			res = append(res, int(e.ids[row]))
+			res = append(res, id)
 		}
 	}
-	e.ds.Space().CountDistances(len(sur))
+	e.ds.Space().CountDistances(ndist)
 	return res
 }
 
-// rangeObjs verifies the surviving rows through DistanceMany in chunks.
-func (e *EPT) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64) []int {
+// rangeObjs verifies the accepted surviving rows through DistanceMany in
+// chunks.
+func (e *EPT) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64, accept core.Accept) []int {
 	objs := e.ds.Objects()
 	sp := e.ds.Space()
 	var res []int
 	m := 0
 	for _, row := range sur {
 		id := e.ids[row]
+		if accept != nil && !accept(int(id)) {
+			continue
+		}
 		sc.IDs[m] = id
 		sc.Objs[m] = objs[id]
 		m++
@@ -344,20 +371,23 @@ func (e *EPT) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64)
 // KNNSearch answers MkNNQ(q, k) with an infinite start radius tightened by
 // verification, in storage order.
 func (e *EPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+	return e.KNNSearchAccept(q, k, nil)
+}
+
+// KNNSearchAccept is KNNSearch over accepted ids only
+// (core.AcceptSearcher); a nil accept accepts every id. A filtered scan
+// runs the staged block sweep without the seed prefix (see knnSeed).
+func (e *EPT) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	sc := e.queryPrep(q)
 	h := sc.Heap(k)
-	if e.useFlat() {
-		if q64, q32, ok := e.flat.QueryCoords(q, sc); ok {
-			e.knnFlat(q64, q32, sc, h)
-			res := h.Result()
-			e.scratch.Put(sc)
-			return res, nil
-		}
+	if q64, q32, ok := e.flatQuery(q, sc); ok {
+		e.knnFlat(q64, q32, sc, h, accept)
+	} else {
+		e.knnObjs(q, sc, h, accept)
 	}
-	e.knnObjs(q, sc, h)
 	res := h.Result()
 	e.scratch.Put(sc)
 	return res, nil
@@ -365,23 +395,24 @@ func (e *EPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 
 // knnSeed bounds the heap-seeding prefix: the first min(k, n) rows are
 // verified unconditionally (the scalar scan cannot prune them either —
-// the radius stays infinite until the k-th push).
-func (e *EPT) knnSeed(k int) int {
-	if k > len(e.ids) {
-		return len(e.ids)
+// the radius stays infinite until the k-th push). A filtered scan has
+// none — a rejected seed row must not cost a distance.
+func (e *EPT) knnSeed(k int, accept core.Accept) int {
+	if accept != nil {
+		return 0
 	}
-	return k
+	return min(k, len(e.ids))
 }
 
 // knnFlat is the zero-allocation kNN hot loop (see the LAESA twin for
 // the staging and equivalence argument): verify the seed prefix, sweep
-// the remaining rows at the seeded radius, then re-apply Lemma 1 per
-// survivor with the fresh radius before verifying through the flat
-// kernel.
+// the remaining rows at the seeded radius, then drop rejected ids and
+// re-apply Lemma 1 per survivor with the fresh radius before verifying
+// through the flat kernel.
 //
 //metriclint:noalloc
-func (e *EPT) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KNNHeap) {
-	seed := e.knnSeed(h.K())
+func (e *EPT) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KNNHeap, accept core.Accept) {
+	seed := e.knnSeed(h.K(), accept)
 	for row := 0; row < seed; row++ {
 		pre := e.flat.Pre(&e.kern, q64, q32, row)
 		h.Push(int(e.ids[row]), e.kern.Finish(pre))
@@ -394,6 +425,9 @@ func (e *EPT) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KN
 		}
 		sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, base, end, h.Radius())
 		for _, row := range sur {
+			if accept != nil && !accept(int(e.ids[row])) {
+				continue
+			}
 			r := h.Radius()
 			if core.PruneRowIndexedAt(sc.QD, e.pcols, e.dcols, int(row), r) {
 				continue
@@ -415,9 +449,9 @@ func (e *EPT) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KN
 // per-candidate scan.
 //
 //metriclint:noalloc
-func (e *EPT) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap) {
+func (e *EPT) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap, accept core.Accept) {
 	objs := e.ds.Objects()
-	seed := e.knnSeed(h.K())
+	seed := e.knnSeed(h.K(), accept)
 	m := 0
 	for row := 0; row < seed; row++ {
 		id := e.ids[row]
@@ -440,11 +474,13 @@ func (e *EPT) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap) {
 		}
 		sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, base, end, h.Radius())
 		for _, row := range sur {
-			r := h.Radius()
-			if core.PruneRowIndexedAt(sc.QD, e.pcols, e.dcols, int(row), r) {
+			id := e.ids[row]
+			if accept != nil && !accept(int(id)) {
 				continue
 			}
-			id := e.ids[row]
+			if core.PruneRowIndexedAt(sc.QD, e.pcols, e.dcols, int(row), h.Radius()) {
+				continue
+			}
 			sc.IDs[m] = id
 			sc.Objs[m] = objs[id]
 			m++

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"metricindex/internal/core"
+	"metricindex/internal/epoch"
 	"metricindex/internal/obs"
 	"metricindex/internal/plan"
 )
@@ -59,17 +60,15 @@ type Metrics struct {
 	QueueWait *obs.Histogram
 }
 
-// AnswerCached is the optional interface of indexes that can serve a
-// memoized answer without computing (epoch.Live with an attached
-// answer cache implements it). The engine probes it per query before
-// dispatching a batch: hits are answered inline and never occupy a
+// searcher is the query surface of epoch.Live: one Search per Query,
+// plus Peek, the answer-cache probe the engine runs per query before
+// dispatching a batch. Hits are answered inline and never occupy a
 // worker slot, so the pool's concurrency is spent entirely on real
-// misses. Peek methods must be cheap, must not compute distances, and
-// must return answers identical to a fresh search at the moment of the
-// call.
-type AnswerCached interface {
-	PeekRange(q core.Object, r float64) ([]int, bool)
-	PeekKNN(q core.Object, k int) ([]core.Neighbor, bool)
+// misses. Peek must be cheap, must not compute distances, and must
+// return answers identical to a fresh search at the moment of the call.
+type searcher interface {
+	Search(q epoch.Query) (epoch.Answer, error)
+	Peek(q epoch.Query) (epoch.Answer, bool)
 }
 
 // Options configures an Engine.
@@ -133,8 +132,7 @@ type BatchStats struct {
 	// cache-hit queries alone (zeros when the batch had none).
 	HitP50, HitP95, HitP99 time.Duration
 	// CacheHits is the number of queries answered from the index's
-	// answer cache without computing — before dispatch via AnswerCached,
-	// or (filtered batches) inside the search itself. 0 when the index
+	// answer cache before dispatch, without computing. 0 when the index
 	// has no cache. Cached answers cost no compdists and no page
 	// accesses, which is why a hot batch's per-query averages drop.
 	CacheHits int
@@ -164,11 +162,17 @@ func (s BatchStats) Throughput() float64 {
 	return float64(s.Queries) / s.Wall.Seconds()
 }
 
-// RangeResult is the answer of a batched MRQ workload.
-type RangeResult struct {
-	// IDs[i] is the RangeSearch answer for the i-th query, in the same
+// Result is the answer of a batched workload. Exactly one of IDs (MRQ
+// batches) and Neighbors (MkNNQ batches) is set, positionally aligned
+// with the batch's query objects.
+type Result struct {
+	// IDs[i] is the range answer for the i-th query, in the same
 	// ascending-id order the sequential call returns.
 	IDs [][]int
+	// Neighbors[i] is the kNN answer for the i-th query, sorted by
+	// ascending distance (ties by id) exactly as the sequential call
+	// returns.
+	Neighbors [][]core.Neighbor
 	// Plans[i] is the strategy that answered the i-th query of a
 	// filtered batch (the zero value when it came from the answer
 	// cache). Nil for unfiltered batches.
@@ -177,115 +181,72 @@ type RangeResult struct {
 	Stats BatchStats
 }
 
-// KNNResult is the answer of a batched MkNNQ workload.
-type KNNResult struct {
-	// Neighbors[i] is the KNNSearch answer for the i-th query, sorted by
-	// ascending distance (ties by id) exactly as the sequential call
-	// returns.
-	Neighbors [][]core.Neighbor
-	// Plans[i] is the strategy that answered the i-th query of a
-	// filtered batch; see RangeResult.Plans.
-	Plans []plan.Strategy
-	// Stats aggregates the batch cost.
-	Stats BatchStats
+// set records the answer of query i.
+func (r *Result) set(i int, a epoch.Answer) {
+	if r.IDs != nil {
+		r.IDs[i] = a.IDs
+	} else {
+		r.Neighbors[i] = a.Neighbors
+	}
+	if r.Plans != nil {
+		r.Plans[i] = a.Strategy
+	}
 }
 
-// FilteredSearcher is the interface of indexes that plan and execute
-// predicate-filtered searches (epoch.Live). The returned Strategy is
-// the plan that produced the answer; its zero value means the answer
-// came from the index's answer cache.
-type FilteredSearcher interface {
-	RangeSearchFiltered(q core.Object, r float64, p *plan.Predicate) ([]int, uint64, plan.Strategy, error)
-	KNNSearchFiltered(q core.Object, k int, p *plan.Predicate) ([]core.Neighbor, uint64, plan.Strategy, error)
-}
-
-// BatchRangeSearch answers MRQ(q, r) for every query concurrently.
-// Results are positionally aligned with queries (deterministic regardless
-// of worker interleaving). The first query error or context cancellation
-// stops the batch and is returned; partial results are discarded.
-func (e *Engine) BatchRangeSearch(ctx context.Context, idx core.Index, queries []core.Object, r float64) (*RangeResult, error) {
-	res := &RangeResult{IDs: make([][]int, len(queries))}
-	var peek func(i int) bool
-	if ac, ok := idx.(AnswerCached); ok {
-		peek = func(i int) bool {
-			ids, ok := ac.PeekRange(queries[i], r)
-			if ok {
-				res.IDs[i] = ids
-			}
-			return ok
-		}
-	}
-	stats, _, err := e.run(ctx, idx, len(queries), peek, func(i int) error {
-		ids, err := idx.RangeSearch(queries[i], r)
-		if err != nil {
-			return fmt.Errorf("exec: range query %d: %w", i, err)
-		}
-		res.IDs[i] = ids
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
-}
-
-// BatchRangeSearchFiltered answers MRQ(q, r) restricted to the
-// predicate for every query concurrently. A nil predicate degrades to
-// BatchRangeSearch; otherwise the index must implement
-// FilteredSearcher. Per-query strategies land in RangeResult.Plans, and
-// queries the answer cache resolved (strategy zero) count as cache hits
-// in the stats.
-func (e *Engine) BatchRangeSearchFiltered(ctx context.Context, idx core.Index, queries []core.Object, r float64, p *plan.Predicate) (*RangeResult, error) {
-	if p == nil {
-		return e.BatchRangeSearch(ctx, idx, queries, r)
-	}
-	fs, ok := idx.(FilteredSearcher)
-	if !ok {
-		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())
-	}
-	res := &RangeResult{
-		IDs:   make([][]int, len(queries)),
-		Plans: make([]plan.Strategy, len(queries)),
-	}
-	stats, durs, err := e.run(ctx, idx, len(queries), nil, func(i int) error {
-		ids, _, st, err := fs.RangeSearchFiltered(queries[i], r, p)
-		if err != nil {
-			return fmt.Errorf("exec: filtered range query %d: %w", i, err)
-		}
-		res.IDs[i] = ids
-		res.Plans[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = reclassifyFiltered(stats, durs, res.Plans)
-	return res, nil
-}
-
-// BatchKNNSearch answers MkNNQ(q, k) for every query concurrently.
-// Results are positionally aligned with queries. The first query error or
+// Batch answers one query shape — q's kind, parameter and filter — for
+// every object in objs concurrently (q.Object is replaced by each
+// object in turn). Results are positionally aligned with objs
+// (deterministic regardless of worker interleaving). An index with an
+// answer cache (epoch.Live) is probed per query before dispatch,
+// filtered or not; a filtered shape requires such an index, and the
+// per-query strategies land in Result.Plans. The first query error or
 // context cancellation stops the batch and is returned; partial results
 // are discarded.
-func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []core.Object, k int) (*KNNResult, error) {
-	res := &KNNResult{Neighbors: make([][]core.Neighbor, len(queries))}
+func (e *Engine) Batch(ctx context.Context, idx core.Index, objs []core.Object, q epoch.Query) (*Result, error) {
+	s, _ := idx.(searcher)
+	if q.Filter != nil && s == nil {
+		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())
+	}
+	res := &Result{}
+	kind := "range"
+	if q.Kind == epoch.KindKNN {
+		kind = "knn"
+		res.Neighbors = make([][]core.Neighbor, len(objs))
+	} else {
+		res.IDs = make([][]int, len(objs))
+	}
+	if q.Filter != nil {
+		res.Plans = make([]plan.Strategy, len(objs))
+	}
 	var peek func(i int) bool
-	if ac, ok := idx.(AnswerCached); ok {
+	if s != nil {
 		peek = func(i int) bool {
-			nns, ok := ac.PeekKNN(queries[i], k)
+			qi := q
+			qi.Object = objs[i]
+			a, ok := s.Peek(qi)
 			if ok {
-				res.Neighbors[i] = nns
+				res.set(i, a)
 			}
 			return ok
 		}
 	}
-	stats, _, err := e.run(ctx, idx, len(queries), peek, func(i int) error {
-		nns, err := idx.KNNSearch(queries[i], k)
-		if err != nil {
-			return fmt.Errorf("exec: knn query %d: %w", i, err)
+	stats, err := e.run(ctx, idx, len(objs), peek, func(i int) error {
+		qi := q
+		qi.Object = objs[i]
+		var a epoch.Answer
+		var err error
+		switch {
+		case s != nil:
+			a, err = s.Search(qi)
+		case q.Kind == epoch.KindKNN:
+			a.Neighbors, err = idx.KNNSearch(objs[i], q.K)
+		default:
+			a.IDs, err = idx.RangeSearch(objs[i], q.R)
 		}
-		res.Neighbors[i] = nns
+		if err != nil {
+			return fmt.Errorf("exec: %s query %d: %w", kind, i, err)
+		}
+		res.set(i, a)
 		return nil
 	})
 	if err != nil {
@@ -295,51 +256,16 @@ func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []c
 	return res, nil
 }
 
-// BatchKNNSearchFiltered answers MkNNQ(q, k) over the predicate's
-// matches for every query concurrently; see BatchRangeSearchFiltered.
-func (e *Engine) BatchKNNSearchFiltered(ctx context.Context, idx core.Index, queries []core.Object, k int, p *plan.Predicate) (*KNNResult, error) {
-	if p == nil {
-		return e.BatchKNNSearch(ctx, idx, queries, k)
-	}
-	fs, ok := idx.(FilteredSearcher)
-	if !ok {
-		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())
-	}
-	res := &KNNResult{
-		Neighbors: make([][]core.Neighbor, len(queries)),
-		Plans:     make([]plan.Strategy, len(queries)),
-	}
-	stats, durs, err := e.run(ctx, idx, len(queries), nil, func(i int) error {
-		nns, _, st, err := fs.KNNSearchFiltered(queries[i], k, p)
-		if err != nil {
-			return fmt.Errorf("exec: filtered knn query %d: %w", i, err)
-		}
-		res.Neighbors[i] = nns
-		res.Plans[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = reclassifyFiltered(stats, durs, res.Plans)
-	return res, nil
+// BatchRangeSearch answers MRQ(q, r) for every query concurrently: the
+// unfiltered range shape of Batch.
+func (e *Engine) BatchRangeSearch(ctx context.Context, idx core.Index, queries []core.Object, r float64) (*Result, error) {
+	return e.Batch(ctx, idx, queries, epoch.Query{Kind: epoch.KindRange, R: r})
 }
 
-// reclassifyFiltered rebuilds a filtered batch's hit/miss split: cache
-// hits surface only after each search returns (strategy zero), not in a
-// pre-dispatch peek, so the run-level split saw every query as a miss.
-func reclassifyFiltered(stats BatchStats, durs []time.Duration, plans []plan.Strategy) BatchStats {
-	hit := make([]bool, len(plans))
-	hits := 0
-	for i, st := range plans {
-		if st == 0 {
-			hit[i] = true
-			hits++
-		}
-	}
-	stats.CacheHits = hits
-	stats.splitPercentiles(durs, hit)
-	return stats
+// BatchKNNSearch answers MkNNQ(q, k) for every query concurrently: the
+// unfiltered kNN shape of Batch.
+func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []core.Object, k int) (*Result, error) {
+	return e.Batch(ctx, idx, queries, epoch.Query{Kind: epoch.KindKNN, K: k})
 }
 
 // run answers n queries and wraps them with the per-batch cost
@@ -347,12 +273,10 @@ func reclassifyFiltered(stats BatchStats, durs []time.Duration, plans []plan.Str
 // first: hits are served inline during the sweep, and only the misses
 // are dispatched through Scatter — a hot batch never waits on the
 // worker pool at all. Latency percentiles are reported separately for
-// hits and misses (see BatchStats); callers whose hits surface only
-// after the job ran (filtered batches) reclassify via the returned
-// per-query durations and splitPercentiles.
-func (e *Engine) run(ctx context.Context, idx core.Index, n int, peek func(i int) bool, job func(i int) error) (BatchStats, []time.Duration, error) {
+// hits and misses (see BatchStats).
+func (e *Engine) run(ctx context.Context, idx core.Index, n int, peek func(i int) bool, job func(i int) error) (BatchStats, error) {
 	if n == 0 {
-		return BatchStats{}, nil, ctx.Err()
+		return BatchStats{}, ctx.Err()
 	}
 	var compBase, paBase int64
 	if e.space != nil {
@@ -391,7 +315,7 @@ func (e *Engine) run(ctx context.Context, idx core.Index, n int, peek func(i int
 		return err
 	}
 	if err := Scatter(ctx, e.workers, len(todo), timed); err != nil {
-		return BatchStats{}, nil, err
+		return BatchStats{}, err
 	}
 	if m != nil {
 		m.Batches.Inc()
@@ -411,7 +335,7 @@ func (e *Engine) run(ctx context.Context, idx core.Index, n int, peek func(i int
 			stats.PageAccesses = 0
 		}
 	}
-	return stats, durs, nil
+	return stats, nil
 }
 
 // splitPercentiles fills the stats' miss (P50/P95/P99) and hit

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"metricindex/internal/core"
+	"metricindex/internal/epoch"
 	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
@@ -420,9 +421,10 @@ func TestBatchOverlapsQueries(t *testing.T) {
 	}
 }
 
-// memoIndex is a stub AnswerCached index: queries listed in cached are
-// served by the peek methods, everything else computes through the
-// search methods. It lets the pre-dispatch probe be tested in isolation.
+// memoIndex is a stub answer-cached index: queries listed in cached
+// are served by Peek, everything else computes through Search (or,
+// behind a wrapper that hides both, the core.Index search methods). It
+// lets the pre-dispatch probe be tested in isolation.
 type memoIndex struct {
 	cached   map[int]bool // query index (encoded as the vector's first coord)
 	searches atomic.Int64
@@ -431,20 +433,24 @@ type memoIndex struct {
 
 func (m *memoIndex) qi(q core.Object) int { return int(q.(core.Vector)[0]) }
 
-func (m *memoIndex) Name() string { return "memo" }
-func (m *memoIndex) PeekRange(q core.Object, r float64) ([]int, bool) {
-	m.peeks.Add(1)
-	if m.cached[m.qi(q)] {
-		return []int{m.qi(q), 1000}, true
+func (m *memoIndex) answer(q epoch.Query) epoch.Answer {
+	if q.Kind == epoch.KindKNN {
+		return epoch.Answer{Neighbors: []core.Neighbor{{ID: m.qi(q.Object), Dist: 0}}}
 	}
-	return nil, false
+	return epoch.Answer{IDs: []int{m.qi(q.Object), 1000}}
 }
-func (m *memoIndex) PeekKNN(q core.Object, k int) ([]core.Neighbor, bool) {
+
+func (m *memoIndex) Name() string { return "memo" }
+func (m *memoIndex) Peek(q epoch.Query) (epoch.Answer, bool) {
 	m.peeks.Add(1)
-	if m.cached[m.qi(q)] {
-		return []core.Neighbor{{ID: m.qi(q), Dist: 0}}, true
+	if m.cached[m.qi(q.Object)] {
+		return m.answer(q), true
 	}
-	return nil, false
+	return epoch.Answer{}, false
+}
+func (m *memoIndex) Search(q epoch.Query) (epoch.Answer, error) {
+	m.searches.Add(1)
+	return m.answer(q), nil
 }
 func (m *memoIndex) RangeSearch(q core.Object, r float64) ([]int, error) {
 	m.searches.Add(1)
@@ -461,7 +467,7 @@ func (m *memoIndex) ResetStats()         {}
 func (m *memoIndex) MemBytes() int64     { return 0 }
 func (m *memoIndex) DiskBytes() int64    { return 0 }
 
-// TestBatchConsultsAnswerCache proves the engine probes an AnswerCached
+// TestBatchConsultsAnswerCache proves the engine probes an answer-cached
 // index per query before dispatching: cached queries never reach the
 // worker pool, answers stay positionally aligned and identical either
 // way, and Stats.CacheHits reports the probe hits.

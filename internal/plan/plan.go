@@ -103,31 +103,43 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 		}
 		return res, nil
 	case StrategyProbe:
-		as, ok := idx.(core.AcceptSearcher)
-		if !ok {
-			return ExecRange(ds, idx, p, q, r, StrategyPost)
-		}
-		ids, err := as.RangeSearchAccept(q, r, func(id int) bool {
-			return p.Eval(ds.Attrs(id))
-		})
-		if err != nil {
-			return nil, err
-		}
-		sort.Ints(ids)
-		return ids, nil
+		return ProbeRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) })
 	default:
-		ids, err := idx.RangeSearch(q, r)
-		if err != nil {
-			return nil, err
-		}
-		res := ids[:0]
-		for _, id := range ids {
-			if p.Eval(ds.Attrs(id)) {
-				res = append(res, id)
-			}
-		}
-		return res, nil
+		return PostRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) })
 	}
+}
+
+// ProbeRange answers MRQ(q, r) restricted to accepted ids, pushing the
+// accept test into the index's candidate verification when the index
+// can take it (core.AcceptSearcher) and degrading to PostRange when it
+// cannot. Ids come back ascending.
+func ProbeRange(idx core.Index, q core.Object, r float64, accept core.Accept) ([]int, error) {
+	as, ok := idx.(core.AcceptSearcher)
+	if !ok {
+		return PostRange(idx, q, r, accept)
+	}
+	ids, err := as.RangeSearchAccept(q, r, accept)
+	if err != nil {
+		return nil, err
+	}
+	sort.Ints(ids)
+	return ids, nil
+}
+
+// PostRange answers MRQ(q, r) restricted to accepted ids by filtering
+// the index's unfiltered answer.
+func PostRange(idx core.Index, q core.Object, r float64, accept core.Accept) ([]int, error) {
+	ids, err := idx.RangeSearch(q, r)
+	if err != nil {
+		return nil, err
+	}
+	res := ids[:0]
+	for _, id := range ids {
+		if accept(id) {
+			res = append(res, id)
+		}
+	}
+	return res, nil
 }
 
 // ExecKNN answers MkNNQ(q, k) over objects satisfying p, using the
@@ -147,26 +159,32 @@ func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 		}
 		return h.Result(), nil
 	case StrategyProbe:
-		as, ok := idx.(core.AcceptSearcher)
-		if !ok {
-			return ExecKNN(ds, idx, p, q, k, StrategyPost, selHint)
-		}
-		return as.KNNSearchAccept(q, k, func(id int) bool {
-			return p.Eval(ds.Attrs(id))
-		})
+		return ProbeKNN(idx, ds.Count(), q, k, func(id int) bool { return p.Eval(ds.Attrs(id)) }, selHint)
 	default:
-		return postKNN(ds, idx, p, q, k, selHint)
+		return PostKNN(idx, ds.Count(), q, k, func(id int) bool { return p.Eval(ds.Attrs(id)) }, selHint)
 	}
 }
 
-// postKNN is the inflated-k re-probe loop. Each round probes the
-// unfiltered index for kk neighbors and keeps the matches; because the
-// index's kNN answer is the top kk of the total (distance, id) order,
-// its matching subset is a prefix of the true filtered answer. The loop
-// doubles kk until k matches surface or kk reaches the live count, at
-// which point the probe was exhaustive.
-func postKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k int, selHint float64) ([]core.Neighbor, error) {
-	n := ds.Count()
+// ProbeKNN answers MkNNQ(q, k) over accepted ids, pushing the accept
+// test down when the index can take it (core.AcceptSearcher) and
+// degrading to PostKNN over the index's n live objects when it cannot.
+func ProbeKNN(idx core.Index, n int, q core.Object, k int, accept core.Accept, selHint float64) ([]core.Neighbor, error) {
+	if as, ok := idx.(core.AcceptSearcher); ok {
+		return as.KNNSearchAccept(q, k, accept)
+	}
+	return PostKNN(idx, n, q, k, accept, selHint)
+}
+
+// PostKNN is the inflated-k re-probe loop: the k nearest accepted
+// objects of an index over n live objects, found without pushing the
+// accept test down. Each round probes the unfiltered index for kk
+// neighbors and keeps the accepted ones; because the index's kNN answer
+// is the top kk of the total (distance, id) order, its accepted subset
+// is a prefix of the true filtered answer. kk starts at
+// max(k/selHint, 2k) (selHint outside (0, 1] counts as 0.5) and doubles
+// until k accepted neighbors surface or kk reaches n, at which point the
+// probe was exhaustive.
+func PostKNN(idx core.Index, n int, q core.Object, k int, accept core.Accept, selHint float64) ([]core.Neighbor, error) {
 	if k <= 0 || n == 0 {
 		return []core.Neighbor{}, nil
 	}
@@ -188,7 +206,7 @@ func postKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 		}
 		matched := make([]core.Neighbor, 0, k)
 		for _, nb := range nbrs {
-			if p.Eval(ds.Attrs(nb.ID)) {
+			if accept(nb.ID) {
 				matched = append(matched, nb)
 				if len(matched) == k {
 					return matched, nil

@@ -407,11 +407,16 @@ type TraceResult struct {
 	Spans       []obs.Span `json:"spans"`
 }
 
-// newTrace starts the span timeline of one traced request, anchored at
-// arrival, with the admission wait already recorded.
-func newTrace(ri *reqInfo) *obs.Trace {
+// newTrace starts the span timeline of a trace-flagged request,
+// anchored at arrival, with the admission wait and the decode (which
+// began at decStart) already recorded. Untraced requests get nil.
+func newTrace(traced bool, ri *reqInfo, decStart time.Time) *obs.Trace {
+	if !traced {
+		return nil
+	}
 	tr := obs.NewTraceAt(ri.arrived)
 	tr.Add("admission_wait", ri.arrived, ri.admitted.Sub(ri.arrived), 0, 0)
+	tr.Add("decode", decStart, time.Since(decStart), 0, 0)
 	return tr
 }
 
@@ -495,52 +500,23 @@ func (s *Server) handleRange(r *http.Request, ri *reqInfo) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !req.Trace {
-		var (
-			ids []int
-			ep  uint64
-			st  plan.Strategy
-		)
-		if pred != nil {
-			ids, ep, st, err = s.live.RangeSearchFiltered(q, req.Radius, pred)
-		} else {
-			ids, ep, err = s.live.RangeSearchAt(q, req.Radius)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ids == nil {
-			ids = []int{}
-		}
-		resp := RangeResponse{IDs: ids, Epoch: ep}
-		if pred != nil {
-			resp.Strategy = strategyString(st)
-		}
-		return resp, nil
-	}
-	tr := newTrace(ri)
-	tr.Add("decode", decStart, time.Since(decStart), 0, 0)
-	var (
-		ids []int
-		ep  uint64
-		st  plan.Strategy
-	)
-	if pred != nil {
-		ids, ep, st, err = s.live.RangeSearchFilteredTraced(q, req.Radius, pred, tr)
-	} else {
-		ids, ep, err = s.live.RangeSearchTraced(q, req.Radius, tr)
-	}
+	query := epoch.Query{Object: q, Kind: epoch.KindRange, R: req.Radius, Filter: pred,
+		Trace: newTrace(req.Trace, ri, decStart)}
+	ans, err := s.live.Search(query)
 	if err != nil {
 		return nil, err
 	}
+	ids := ans.IDs
 	if ids == nil {
 		ids = []int{}
 	}
-	resp := RangeResponse{IDs: ids, Epoch: ep}
+	resp := RangeResponse{IDs: ids, Epoch: ans.Epoch}
 	if pred != nil {
-		resp.Strategy = strategyString(st)
+		resp.Strategy = strategyString(ans.Strategy)
 	}
-	resp.Trace = finishTrace(tr, ri, resp)
+	if query.Trace != nil {
+		resp.Trace = finishTrace(query.Trace, ri, resp)
+	}
 	return resp, nil
 }
 
@@ -584,46 +560,19 @@ func (s *Server) handleKNN(r *http.Request, ri *reqInfo) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !req.Trace {
-		var (
-			nns []core.Neighbor
-			ep  uint64
-			st  plan.Strategy
-		)
-		if pred != nil {
-			nns, ep, st, err = s.live.KNNSearchFiltered(q, req.K, pred)
-		} else {
-			nns, ep, err = s.live.KNNSearchAt(q, req.K)
-		}
-		if err != nil {
-			return nil, err
-		}
-		resp := KNNResponse{Neighbors: toWire(nns), Epoch: ep}
-		if pred != nil {
-			resp.Strategy = strategyString(st)
-		}
-		return resp, nil
-	}
-	tr := newTrace(ri)
-	tr.Add("decode", decStart, time.Since(decStart), 0, 0)
-	var (
-		nns []core.Neighbor
-		ep  uint64
-		st  plan.Strategy
-	)
-	if pred != nil {
-		nns, ep, st, err = s.live.KNNSearchFilteredTraced(q, req.K, pred, tr)
-	} else {
-		nns, ep, err = s.live.KNNSearchTraced(q, req.K, tr)
-	}
+	query := epoch.Query{Object: q, Kind: epoch.KindKNN, K: req.K, Filter: pred,
+		Trace: newTrace(req.Trace, ri, decStart)}
+	ans, err := s.live.Search(query)
 	if err != nil {
 		return nil, err
 	}
-	resp := KNNResponse{Neighbors: toWire(nns), Epoch: ep}
+	resp := KNNResponse{Neighbors: toWire(ans.Neighbors), Epoch: ans.Epoch}
 	if pred != nil {
-		resp.Strategy = strategyString(st)
+		resp.Strategy = strategyString(ans.Strategy)
 	}
-	resp.Trace = finishTrace(tr, ri, resp)
+	if query.Trace != nil {
+		resp.Trace = finishTrace(query.Trace, ri, resp)
+	}
 	return resp, nil
 }
 
@@ -726,53 +675,42 @@ func (s *Server) handleBatch(r *http.Request, _ *reqInfo) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	epochLow := s.live.Epoch()
+	query := epoch.Query{Filter: pred}
 	switch req.Type {
 	case "range":
 		if req.Radius < 0 {
 			return nil, badRequest("radius must be >= 0")
 		}
-		var res *exec.RangeResult
-		if pred != nil {
-			res, err = s.eng.BatchRangeSearchFiltered(r.Context(), s.live, qs, req.Radius, pred)
-		} else {
-			res, err = s.eng.BatchRangeSearch(r.Context(), s.live, qs, req.Radius)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ids := res.IDs
-		for i := range ids {
-			if ids[i] == nil {
-				ids[i] = []int{}
-			}
-		}
-		return BatchResponse{IDs: ids, Plans: wirePlans(res.Plans),
-			Stats:    toWireStats(res.Stats),
-			EpochLow: epochLow, EpochHigh: s.live.Epoch()}, nil
+		query.Kind, query.R = epoch.KindRange, req.Radius
 	case "knn":
 		if req.K <= 0 {
 			return nil, badRequest("k must be >= 1")
 		}
-		var res *exec.KNNResult
-		if pred != nil {
-			res, err = s.eng.BatchKNNSearchFiltered(r.Context(), s.live, qs, req.K, pred)
-		} else {
-			res, err = s.eng.BatchKNNSearch(r.Context(), s.live, qs, req.K)
-		}
-		if err != nil {
-			return nil, err
-		}
-		nns := make([][]Neighbor, len(res.Neighbors))
-		for i, part := range res.Neighbors {
-			nns[i] = toWire(part)
-		}
-		return BatchResponse{Neighbors: nns, Plans: wirePlans(res.Plans),
-			Stats:    toWireStats(res.Stats),
-			EpochLow: epochLow, EpochHigh: s.live.Epoch()}, nil
+		query.Kind, query.K = epoch.KindKNN, req.K
 	default:
 		return nil, badRequest("type must be \"range\" or \"knn\", got %q", req.Type)
 	}
+	epochLow := s.live.Epoch()
+	res, err := s.eng.Batch(r.Context(), s.live, qs, query)
+	if err != nil {
+		return nil, err
+	}
+	resp := BatchResponse{Plans: wirePlans(res.Plans), Stats: toWireStats(res.Stats), EpochLow: epochLow}
+	if res.IDs != nil {
+		for i := range res.IDs {
+			if res.IDs[i] == nil {
+				res.IDs[i] = []int{}
+			}
+		}
+		resp.IDs = res.IDs
+	} else {
+		resp.Neighbors = make([][]Neighbor, len(res.Neighbors))
+		for i, part := range res.Neighbors {
+			resp.Neighbors[i] = toWire(part)
+		}
+	}
+	resp.EpochHigh = s.live.Epoch()
+	return resp, nil
 }
 
 // InsertRequest is the body of POST /v1/insert. Attrs optionally

@@ -560,3 +560,34 @@ func TestCacheOverHTTP(t *testing.T) {
 		t.Fatalf("cacheless server reported cache stats: %+v", st2.Cache)
 	}
 }
+
+// TestHugeKOverHTTP: a k far beyond the dataset size is a valid request
+// answered with every live object — on the kNN endpoint and through a
+// batch — never an attempt to size a heap for k.
+func TestHugeKOverHTTP(t *testing.T) {
+	const n = 200
+	_, live, ts := newTestServer(t, n, Options{})
+	q := []float64{10, 20, 30, 40}
+	var kr KNNResponse
+	if code := post(t, ts.URL+"/v1/knn", map[string]any{"query": q, "k": 4000000000000}, &kr); code != http.StatusOK {
+		t.Fatalf("knn with huge k: status %d", code)
+	}
+	if len(kr.Neighbors) != n {
+		t.Fatalf("knn with huge k: %d neighbors, want %d", len(kr.Neighbors), n)
+	}
+	direct, err := live.KNNSearch(core.Vector(q), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kr.Neighbors, toWire(direct)) {
+		t.Fatal("huge-k answer differs from the k = n answer")
+	}
+	var br BatchResponse
+	body := map[string]any{"type": "knn", "queries": [][]float64{q}, "k": 4000000000000}
+	if code := post(t, ts.URL+"/v1/batch", body, &br); code != http.StatusOK {
+		t.Fatalf("batch with huge k: status %d", code)
+	}
+	if len(br.Neighbors) != 1 || len(br.Neighbors[0]) != n {
+		t.Fatalf("batch with huge k: %d answers", len(br.Neighbors))
+	}
+}

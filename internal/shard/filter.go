@@ -1,136 +1,25 @@
 package shard
 
-import (
-	"fmt"
-	"sort"
-
-	"metricindex/internal/core"
-)
+import "metricindex/internal/core"
 
 // Per-shard predicate pushdown (core.AcceptSearcher): the accept test
 // travels with the scatter, so each shard rejects non-matching
 // candidates before their distance — concurrently, on the same worker
 // pool as unfiltered probes. Shards whose sub-index cannot push the
 // predicate down fall back to filtering their own answers (re-probing
-// with an inflated k for kNN), which keeps the merged answer exact
-// whatever mix of capabilities the shards have.
+// with an inflated k for kNN: plan.ProbeRange, plan.ProbeKNN), which
+// keeps the merged answer exact whatever mix of capabilities the shards
+// have.
 
 // RangeSearchAccept answers MRQ(q, r) restricted to accepted ids as the
-// union of filtered shard answers.
+// union of filtered shard answers. A nil accept is the unfiltered
+// search.
 func (s *Sharded) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
-	if accept == nil {
-		return s.RangeSearch(q, r)
-	}
-	parts := make([][]int, len(s.subs))
-	err := s.scatter(nil, func(sh int) error {
-		var ids []int
-		var err error
-		if as, ok := s.subs[sh].(core.AcceptSearcher); ok {
-			ids, err = as.RangeSearchAccept(q, r, accept)
-		} else {
-			ids, err = s.subs[sh].RangeSearch(q, r)
-			if err == nil {
-				kept := ids[:0]
-				for _, id := range ids {
-					if accept(id) {
-						kept = append(kept, id)
-					}
-				}
-				ids = kept
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", sh, err)
-		}
-		parts[sh] = ids
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	res := make([]int, 0, total)
-	for _, p := range parts {
-		res = append(res, p...)
-	}
-	sort.Ints(res)
-	return res, nil
+	return s.rangeSearch(q, r, accept, nil)
 }
 
-// KNNSearchAccept answers MkNNQ(q, k) over accepted ids: every shard
-// reports its own k nearest accepted objects (any member of the global
-// filtered top-k is in its shard's filtered top-k), merged through the
-// usual distance-then-id heap.
+// KNNSearchAccept answers MkNNQ(q, k) over accepted ids. A nil accept is
+// the unfiltered search.
 func (s *Sharded) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
-	if accept == nil {
-		return s.KNNSearch(q, k)
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	parts := make([][]core.Neighbor, len(s.subs))
-	err := s.scatter(nil, func(sh int) error {
-		var nns []core.Neighbor
-		var err error
-		if as, ok := s.subs[sh].(core.AcceptSearcher); ok {
-			nns, err = as.KNNSearchAccept(q, k, accept)
-		} else {
-			nns, err = acceptKNNFallback(s.subs[sh], s.subDS[sh], q, k, accept)
-		}
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", sh, err)
-		}
-		parts[sh] = nns
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	h := core.NewKNNHeap(k)
-	for _, p := range parts {
-		for _, nb := range p {
-			h.Push(nb.ID, nb.Dist)
-		}
-	}
-	return h.Result(), nil
-}
-
-// acceptKNNFallback extracts the k nearest accepted objects from an
-// index without pushdown support: probe for an inflated kk, keep the
-// accepted prefix, and double kk until k accepted neighbors surface or
-// the probe covered every live object (exact by exhaustion).
-func acceptKNNFallback(idx core.Index, ds *core.Dataset, q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
-	n := ds.Count()
-	if n == 0 {
-		return nil, nil
-	}
-	kk := 2 * k
-	if kk > n {
-		kk = n
-	}
-	for {
-		nbrs, err := idx.KNNSearch(q, kk)
-		if err != nil {
-			return nil, err
-		}
-		kept := make([]core.Neighbor, 0, k)
-		for _, nb := range nbrs {
-			if accept(nb.ID) {
-				kept = append(kept, nb)
-				if len(kept) == k {
-					return kept, nil
-				}
-			}
-		}
-		if kk >= n {
-			return kept, nil
-		}
-		kk *= 2
-		if kk > n {
-			kk = n
-		}
-	}
+	return s.knnSearch(q, k, accept, nil)
 }

@@ -33,6 +33,7 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/exec"
 	"metricindex/internal/obs"
+	"metricindex/internal/plan"
 )
 
 // Builder constructs the sub-index for one shard. The shard dataset shares
@@ -222,19 +223,28 @@ func (s *Sharded) scatter(tr *obs.Trace, job func(sh int) error) error {
 // partition the live objects, so concatenating the (disjoint) per-shard id
 // lists and sorting yields exactly the unsharded answer.
 func (s *Sharded) RangeSearch(q core.Object, r float64) ([]int, error) {
-	return s.rangeSearch(q, r, nil)
+	return s.rangeSearch(q, r, nil, nil)
 }
 
 // RangeSearchTraced is RangeSearch with a span per shard probe plus a
 // merge span recorded into tr. A nil tr degrades to RangeSearch.
 func (s *Sharded) RangeSearchTraced(q core.Object, r float64, tr *obs.Trace) ([]int, error) {
-	return s.rangeSearch(q, r, tr)
+	return s.rangeSearch(q, r, nil, tr)
 }
 
-func (s *Sharded) rangeSearch(q core.Object, r float64, tr *obs.Trace) ([]int, error) {
+// rangeSearch is the one MRQ scatter/merge: every shard answers its part
+// (restricted to accepted ids when accept is non-nil) and the disjoint
+// parts merge by sort.
+func (s *Sharded) rangeSearch(q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error) {
 	parts := make([][]int, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
-		ids, err := s.subs[sh].RangeSearch(q, r)
+		var ids []int
+		var err error
+		if accept == nil {
+			ids, err = s.subs[sh].RangeSearch(q, r)
+		} else {
+			ids, err = plan.ProbeRange(s.subs[sh], q, r, accept)
+		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}
@@ -267,22 +277,32 @@ func (s *Sharded) rangeSearch(q core.Object, r float64, tr *obs.Trace) ([]int, e
 // top-k), and the candidates merge through a KNNHeap whose
 // distance-then-id ordering matches the per-index contract exactly.
 func (s *Sharded) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	return s.knnSearch(q, k, nil)
+	return s.knnSearch(q, k, nil, nil)
 }
 
 // KNNSearchTraced is KNNSearch with a span per shard probe plus a merge
 // span recorded into tr. A nil tr degrades to KNNSearch.
 func (s *Sharded) KNNSearchTraced(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, error) {
-	return s.knnSearch(q, k, tr)
+	return s.knnSearch(q, k, nil, tr)
 }
 
-func (s *Sharded) knnSearch(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, error) {
+// knnSearch is the one MkNNQ scatter/merge: every shard reports its k
+// nearest (accepted, when accept is non-nil — any member of the global
+// filtered top-k is in its shard's filtered top-k), merged through the
+// usual distance-then-id heap.
+func (s *Sharded) knnSearch(q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	parts := make([][]core.Neighbor, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
-		nns, err := s.subs[sh].KNNSearch(q, k)
+		var nns []core.Neighbor
+		var err error
+		if accept == nil {
+			nns, err = s.subs[sh].KNNSearch(q, k)
+		} else {
+			nns, err = plan.ProbeKNN(s.subs[sh], s.subDS[sh].Count(), q, k, accept, 0)
+		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}

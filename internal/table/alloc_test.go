@@ -63,7 +63,7 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 			panic("query does not fit the flat mirror")
 		}
 		h := sc.Heap(10)
-		idx.knnFlat(q64, q32, sc, h)
+		idx.knnFlat(q64, q32, sc, h, nil)
 		idx.scratch.Put(sc)
 	})
 	if allocs != 0 {

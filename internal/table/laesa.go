@@ -105,6 +105,16 @@ func (t *LAESA) useFlat() bool {
 	return t.hasKern && t.flat != nil && t.flat.Rows() == len(t.ids)
 }
 
+// flatQuery widens q into scratch for the flat verification path; ok is
+// false when the path is not armed or q does not fit the mirror (the
+// query then verifies through Objects).
+func (t *LAESA) flatQuery(q core.Object, sc *core.Scratch) (q64 []float64, q32 []float32, ok bool) {
+	if !t.useFlat() {
+		return nil, nil, false
+	}
+	return t.flat.QueryCoords(q, sc)
+}
+
 // mirrorRow appends the object of table row `row` to the coordinate
 // mirror, arming it on row 0 and dropping it permanently the moment any
 // object does not fit (wrong type or dimension) — queries then verify
@@ -146,48 +156,66 @@ func (t *LAESA) queryPrep(q core.Object) *core.Scratch {
 // struct-of-arrays columns) compacts the surviving rows, which are then
 // verified through the flat kernel or chunked DistanceMany.
 func (t *LAESA) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return t.RangeSearchAccept(q, r, nil)
+}
+
+// RangeSearchAccept is RangeSearch restricted to accepted ids
+// (core.AcceptSearcher); a nil accept accepts every id. This is
+// probe-filtered search: the accept test runs on every row that
+// survives the Lemma 1 column sweep, *before* its distance is computed,
+// so rejected candidates cost zero compdists while the geometric pruning
+// is untouched — the answer is exactly the accepted subset of the
+// unfiltered answer.
+func (t *LAESA) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
 	sc := t.queryPrep(q)
 	sur := core.SurviveColumnsQuant(sc.Sur, sc.QD, t.qcol, t.cols, 0, len(t.ids), r)
 	var res []int
-	if t.useFlat() {
-		if q64, q32, ok := t.flat.QueryCoords(q, sc); ok {
-			res = t.rangeFlat(q64, q32, sur, r)
-			t.scratch.Put(sc)
-			sortInts(res)
-			return res, nil
-		}
+	if q64, q32, ok := t.flatQuery(q, sc); ok {
+		res = t.rangeFlat(q64, q32, sur, r, accept)
+	} else {
+		res = t.rangeObjs(q, sc, sur, r, accept)
 	}
-	res = t.rangeObjs(q, sc, sur, r)
 	t.scratch.Put(sc)
 	sortInts(res)
 	return res, nil
 }
 
-// rangeFlat verifies surviving rows through the flat kernel:
-// squared-space reject for clear misses (L2SqExceeds semantics), exact
-// compare for the rest. One CountDistances covers the whole scan.
-func (t *LAESA) rangeFlat(q64 []float64, q32 []float32, sur []int32, r float64) []int {
+// rangeFlat verifies the accepted surviving rows through the flat
+// kernel: squared-space reject for clear misses (L2SqExceeds
+// semantics), exact compare for the rest. One CountDistances covers the
+// whole scan.
+func (t *LAESA) rangeFlat(q64 []float64, q32 []float32, sur []int32, r float64, accept core.Accept) []int {
 	var res []int
+	ndist := 0
 	for _, row := range sur {
+		id := int(t.ids[row])
+		if accept != nil && !accept(id) {
+			continue
+		}
 		pre := t.flat.Pre(&t.kern, q64, q32, int(row))
+		ndist++
 		if t.kern.Exceeds(pre, r) {
 			continue
 		}
 		if t.kern.Finish(pre) <= r {
-			res = append(res, int(t.ids[row]))
+			res = append(res, id)
 		}
 	}
-	t.ds.Space().CountDistances(len(sur))
+	t.ds.Space().CountDistances(ndist)
 	return res
 }
 
-// rangeObjs verifies surviving rows through DistanceMany in chunks.
-func (t *LAESA) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64) []int {
+// rangeObjs verifies the accepted surviving rows through DistanceMany in
+// chunks.
+func (t *LAESA) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64, accept core.Accept) []int {
 	objs := t.ds.Objects()
 	var res []int
 	m := 0
 	for _, row := range sur {
 		id := t.ids[row]
+		if accept != nil && !accept(int(id)) {
+			continue
+		}
 		sc.IDs[m] = id
 		sc.Objs[m] = objs[id]
 		m++
@@ -221,20 +249,24 @@ func flushRange(sp *core.Space, q core.Object, sc *core.Scratch, m int, r float6
 // with the fresh radius — and every stage reproduces the scalar scan's
 // decisions exactly, so answers and compdists both match.
 func (t *LAESA) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+	return t.KNNSearchAccept(q, k, nil)
+}
+
+// KNNSearchAccept is KNNSearch over accepted ids only
+// (core.AcceptSearcher); a nil accept accepts every id. A filtered scan
+// has no seed prefix (see knnSeed), so its radius stays +Inf until k
+// accepted candidates have been verified and tightens from there.
+func (t *LAESA) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	sc := t.queryPrep(q)
 	h := sc.Heap(k)
-	if t.useFlat() {
-		if q64, q32, ok := t.flat.QueryCoords(q, sc); ok {
-			t.knnFlat(q64, q32, sc, h)
-			res := h.Result()
-			t.scratch.Put(sc)
-			return res, nil
-		}
+	if q64, q32, ok := t.flatQuery(q, sc); ok {
+		t.knnFlat(q64, q32, sc, h, accept)
+	} else {
+		t.knnObjs(q, sc, h, accept)
 	}
-	t.knnObjs(q, sc, h)
 	res := h.Result()
 	t.scratch.Put(sc)
 	return res, nil
@@ -242,29 +274,30 @@ func (t *LAESA) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 
 // knnSeed returns the seed prefix length: the rows the storage-order
 // scalar scan verifies before its radius turns finite (the heap fills
-// on the k-th push).
-func (t *LAESA) knnSeed(k int) int {
-	if k > len(t.ids) {
-		return len(t.ids)
+// on the k-th push). A filtered scan has none — a rejected seed row must
+// not cost a distance.
+func (t *LAESA) knnSeed(k int, accept core.Accept) int {
+	if accept != nil {
+		return 0
 	}
-	return k
+	return min(k, len(t.ids))
 }
 
 // knnFlat is the zero-allocation kNN hot loop: verify the seed prefix,
 // then process the remaining rows in blocks — sweep each block's columns
-// at the radius current when the block starts, re-apply Lemma 1 per
-// survivor with the fresh radius (core.PruneRowAt), and verify through
-// the flat kernel. Blocking matters twice over: the sweep radius
-// tightens as blocks complete (a single whole-table sweep would run at
-// the loose seeded radius and filter almost nothing), and the recheck's
-// strided column reads land on rows the sweep just pulled into cache.
-// The sweep only pre-filters — the per-survivor recheck makes the
-// verified set exactly the scalar scan's, so answers and compdists both
-// match the scalar build.
+// at the radius current when the block starts, drop rejected ids,
+// re-apply Lemma 1 per survivor with the fresh radius
+// (core.PruneRowAt), and verify through the flat kernel. Blocking
+// matters twice over: the sweep radius tightens as blocks complete (a
+// single whole-table sweep would run at the loose seeded radius and
+// filter almost nothing), and the recheck's strided column reads land
+// on rows the sweep just pulled into cache. The sweep only pre-filters
+// — the per-survivor recheck makes the verified set exactly the scalar
+// scan's, so answers and compdists both match the scalar build.
 //
 //metriclint:noalloc
-func (t *LAESA) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KNNHeap) {
-	seed := t.knnSeed(h.K())
+func (t *LAESA) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KNNHeap, accept core.Accept) {
+	seed := t.knnSeed(h.K(), accept)
 	for row := 0; row < seed; row++ {
 		pre := t.flat.Pre(&t.kern, q64, q32, row)
 		h.Push(int(t.ids[row]), t.kern.Finish(pre))
@@ -277,6 +310,9 @@ func (t *LAESA) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.
 		}
 		sur := core.SurviveColumnsQuant(sc.Sur, sc.QD, t.qcol, t.cols, base, end, h.Radius())
 		for _, row := range sur {
+			if accept != nil && !accept(int(t.ids[row])) {
+				continue
+			}
 			r := h.Radius()
 			if core.PruneRowAt(sc.QD, t.cols, int(row), r) {
 				continue
@@ -298,9 +334,9 @@ func (t *LAESA) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.
 // heap rejects — answers are identical to the per-candidate scan.
 //
 //metriclint:noalloc
-func (t *LAESA) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap) {
+func (t *LAESA) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap, accept core.Accept) {
 	objs := t.ds.Objects()
-	seed := t.knnSeed(h.K())
+	seed := t.knnSeed(h.K(), accept)
 	m := 0
 	for row := 0; row < seed; row++ {
 		id := t.ids[row]
@@ -323,11 +359,13 @@ func (t *LAESA) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap) {
 		}
 		sur := core.SurviveColumnsQuant(sc.Sur, sc.QD, t.qcol, t.cols, base, end, h.Radius())
 		for _, row := range sur {
-			r := h.Radius()
-			if core.PruneRowAt(sc.QD, t.cols, int(row), r) {
+			id := t.ids[row]
+			if accept != nil && !accept(int(id)) {
 				continue
 			}
-			id := t.ids[row]
+			if core.PruneRowAt(sc.QD, t.cols, int(row), h.Radius()) {
+				continue
+			}
 			sc.IDs[m] = id
 			sc.Objs[m] = objs[id]
 			m++

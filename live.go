@@ -19,6 +19,25 @@ import (
 // correlated against.
 type Live = epoch.Live
 
+// Query is one search request against a Live index — the object, the
+// kind (KindRange with R, or KindKNN with K), an optional filter
+// Predicate and an optional trace — answered by Live.Search:
+//
+//	ans, _ := live.Search(metricindex.Query{Object: q, Kind: metricindex.KindKNN, K: 10})
+//	for _, nb := range ans.Neighbors { ... }
+type Query = epoch.Query
+
+// Answer is the result of Live.Search: IDs (range) or Neighbors (kNN),
+// the epoch the answer observed, and for a filtered query the plan that
+// produced it.
+type Answer = epoch.Answer
+
+// The two query kinds of a Query: MRQ(q, r) and MkNNQ(q, k).
+const (
+	KindRange = epoch.KindRange
+	KindKNN   = epoch.KindKNN
+)
+
 // IndexBuilder constructs an index over a dataset — the rebuild callback
 // of Live.Swap and ServerOptions.Builder. The shard builders in this
 // package have the same shape, so one function can serve both roles.
