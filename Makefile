@@ -23,9 +23,10 @@ XTOOLS_VERSION ?= v0.30.0
 # Tolerated q/s regression fraction of the bench gate.
 MAX_REGRESS ?= 0.25
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (six
-# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval).
+# Seconds each native fuzz target runs in the `make fuzz` smoke (seven
+# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzAttrRow,
+# FuzzDecodeQuery, FuzzSnapshotHeader, FuzzPredicateParse,
+# FuzzPredicateEval).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -74,6 +75,7 @@ perfbench-test:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshtein -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzAttrRow -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan

@@ -345,7 +345,7 @@ func smokeFiltered(base string, live *epoch.Live, gen *dataset.Generated, radius
 		m := ds.Space().Metric()
 		var want []int
 		for _, id := range ds.LiveIDs() {
-			if pred.Eval(ds.Attrs(id)) && m.Distance(gen.Queries[0], ds.Object(id)) <= radius {
+			if pred.EvalRow(ds.AttrRow(id)) && m.Distance(gen.Queries[0], ds.Object(id)) <= radius {
 				want = append(want, id)
 			}
 		}
@@ -368,7 +368,7 @@ func smokeFiltered(base string, live *epoch.Live, gen *dataset.Generated, radius
 		m := ds.Space().Metric()
 		var want []server.Neighbor
 		for _, id := range ds.LiveIDs() {
-			if pred.Eval(ds.Attrs(id)) {
+			if pred.EvalRow(ds.AttrRow(id)) {
 				want = append(want, server.Neighbor{ID: id, Dist: m.Distance(gen.Queries[0], ds.Object(id))})
 			}
 		}

@@ -3,10 +3,11 @@ package core
 // Attribute metadata for filtered (hybrid) search: every dataset object
 // may carry a small bag of typed fields — ints, floats, strings, and
 // tag sets — that predicates of the filter clause evaluate against.
-// Attrs ride alongside the object itself: they are stored per slot in
-// the Dataset, cloned by epoch snapshots, and persisted through the
-// snapshot/WAL formats, but they never participate in the metric — the
-// distance function sees only the Object.
+// Attrs ride alongside the object itself: the Dataset stores each bag
+// in its canonical wire encoding (attrrow.go) in one arena per dataset,
+// shared by epoch snapshots and written as-is by the snapshot/WAL/MIDX
+// formats, but they never participate in the metric — the distance
+// function sees only the Object.
 
 // AttrKind discriminates the typed variants of an AttrValue. The
 // numeric values are frozen: they appear in the MXSNAP/MXWAL/MIDX wire

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -77,11 +78,20 @@ type Dataset struct {
 	objects []Object
 	free    []int // stack of deleted slots available for reuse
 	live    int   // number of non-nil objects
-	// attrs holds the attribute bag of each slot, parallel to objects
-	// but grown lazily: it may be shorter than objects when no object
-	// past its end carries attributes. attrs[id] is nil for objects
-	// without metadata and for deleted slots.
-	attrs []Attrs
+	// attrs is the arena of attribute bags in their canonical encoding
+	// (EncodeAttrs), starting with the empty bag at offset 0. It is
+	// append-only: a row's bytes never change once written, so views
+	// handed out by AttrRow stay valid, and a replaced or deleted bag
+	// leaves dead bytes behind until compactAttrs rewrites the arena
+	// into a fresh array. attrOff holds each slot's row offset, parallel
+	// to objects but grown lazily (it may be shorter than objects); 0
+	// means "no attrs". Both are pointer-free, so the collector never
+	// scans them.
+	attrs   []byte
+	attrOff []uint32
+	// attrLive counts the arena bytes that live rows occupy, the empty
+	// bag at offset 0 included; the rest of the arena is dead.
+	attrLive int
 }
 
 // NewDataset builds a dataset over the given objects. The slice is owned by
@@ -275,57 +285,142 @@ func (ds *Dataset) Delete(id int) error {
 		return fmt.Errorf("core: delete of already-deleted id %d", id)
 	}
 	ds.objects[id] = nil
-	if id < len(ds.attrs) {
-		ds.attrs[id] = nil
-	}
+	ds.dropAttrs(id)
 	ds.free = append(ds.free, id)
 	ds.live--
 	return nil
 }
 
-// SetAttrs attaches an attribute bag to a live object (nil detaches).
-// The map is owned by the dataset afterwards. It errors on a deleted or
-// out-of-range identifier so attrs can never outlive their object.
+// SetAttrs attaches an attribute bag to a live object (nil or empty
+// detaches). The bag is encoded into the dataset's arena; the map is
+// not retained. It errors on a deleted or out-of-range identifier, so
+// attrs can never outlive their object, and on a bag the encoding
+// cannot represent (ErrAttrsTooLarge), leaving the slot unchanged.
 func (ds *Dataset) SetAttrs(id int, a Attrs) error {
 	if !ds.Live(id) {
 		return fmt.Errorf("core: attrs on non-live id %d", id)
 	}
-	if a == nil && id >= len(ds.attrs) {
+	if len(a) == 0 {
+		ds.dropAttrs(id)
 		return nil
 	}
-	for len(ds.attrs) <= id {
-		ds.attrs = append(ds.attrs, nil)
+	ds.initAttrs()
+	arena, err := EncodeAttrs(ds.attrs, a)
+	if err != nil {
+		return err
 	}
-	ds.attrs[id] = a
+	return ds.putRow(id, arena)
+}
+
+// SetAttrRow is SetAttrs for a bag already in canonical encoding, as
+// AttrRow, ParseAttrRow and EncodeAttrs produce: its bytes are copied
+// into the arena, never aliased.
+func (ds *Dataset) SetAttrRow(id int, row AttrRow) error {
+	if !ds.Live(id) {
+		return fmt.Errorf("core: attrs on non-live id %d", id)
+	}
+	if row.Empty() {
+		ds.dropAttrs(id)
+		return nil
+	}
+	ds.initAttrs()
+	return ds.putRow(id, append(ds.attrs, row.Bytes()...))
+}
+
+func (ds *Dataset) initAttrs() {
+	if ds.attrs == nil {
+		ds.attrs = []byte{0, 0} // the empty bag, at offset 0
+		ds.attrLive = 2
+	}
+}
+
+// putRow makes the row appended at the end of the current arena — arena
+// is ds.attrs extended by exactly that row — the bag of slot id.
+func (ds *Dataset) putRow(id int, arena []byte) error {
+	off := len(ds.attrs)
+	if off > math.MaxUint32 {
+		return fmt.Errorf("core: attribute arena over %d bytes", uint64(math.MaxUint32))
+	}
+	ds.attrs = arena
+	ds.setOff(id, uint32(off), len(arena)-off)
 	return nil
 }
 
-// Attrs returns the attribute bag of the given identifier, or nil when
-// the object has none (or the id is deleted/out of range). Callers must
-// not mutate the returned map.
-//
-//metriclint:ignore read-only view by contract, not a defensive copy
-func (ds *Dataset) Attrs(id int) Attrs {
-	if id < 0 || id >= len(ds.attrs) {
-		return nil
+// dropAttrs detaches the bag of slot id, if it has one.
+func (ds *Dataset) dropAttrs(id int) { ds.setOff(id, 0, 0) }
+
+// setOff points slot id at the row of the given size at off (0
+// detaches), retiring the slot's previous row, and compacts the arena
+// once its dead bytes outgrow its live ones.
+func (ds *Dataset) setOff(id int, off uint32, size int) {
+	if id < len(ds.attrOff) && ds.attrOff[id] != 0 {
+		ds.attrLive -= len(ds.AttrRow(id).Bytes())
+		ds.attrOff[id] = 0
 	}
-	return ds.attrs[id]
+	if off != 0 {
+		for len(ds.attrOff) <= id {
+			ds.attrOff = append(ds.attrOff, 0)
+		}
+		ds.attrOff[id] = off
+		ds.attrLive += size
+	}
+	if len(ds.attrs)-ds.attrLive > ds.attrLive {
+		ds.compactAttrs()
+	}
 }
 
-// CopyAttrsFrom bulk-copies every attribute bag of src (by identifier)
-// onto this dataset, skipping ids that are not live here. Epoch
-// snapshots and shard mirrors use it to carry metadata across dataset
-// clones; the bags themselves are shared, not deep-copied — both sides
-// treat them as immutable.
+// compactAttrs rewrites the live rows, in slot order, into a fresh
+// array. The old array is left as it was, so row views taken before
+// (and epoch snapshots sharing it) stay valid.
+func (ds *Dataset) compactAttrs() {
+	arena := make([]byte, 2, ds.attrLive)
+	for id, off := range ds.attrOff {
+		if off != 0 {
+			ds.attrOff[id] = uint32(len(arena))
+			arena = append(arena, AttrRow(ds.attrs[off:]).Bytes()...)
+		}
+	}
+	ds.attrs = arena
+}
+
+// AttrRow returns a read-only view of the attribute bag of the given
+// identifier in its canonical encoding — the empty row when the object
+// has none (or the id is deleted/out of range). The view runs to the
+// end of the arena (see AttrRow) with its capacity clipped, and stays
+// valid, unchanged, after later writes.
+//
+//metriclint:noalloc
+func (ds *Dataset) AttrRow(id int) AttrRow {
+	if id < 0 || id >= len(ds.attrOff) || ds.attrOff[id] == 0 {
+		return nil
+	}
+	n := len(ds.attrs)
+	return AttrRow(ds.attrs[ds.attrOff[id]:n:n])
+}
+
+// Attrs decodes the attribute bag of the given identifier into a fresh
+// map, nil when the object has none (or the id is deleted/out of
+// range). It is for cold callers; the query path reads AttrRow.
+func (ds *Dataset) Attrs(id int) Attrs {
+	return ds.AttrRow(id).Attrs()
+}
+
+// CopyAttrsFrom gives every slot that is live here the attribute bag src
+// holds for the same identifier, replacing any bag of its own. Epoch
+// snapshots use it to carry metadata across dataset clones. The arena is
+// shared, not copied: this dataset takes src's arena with its capacity
+// clipped, so later appends on either side never touch the other's
+// rows.
 func (ds *Dataset) CopyAttrsFrom(src *Dataset) {
-	for id, a := range src.attrs {
-		if a == nil || !ds.Live(id) {
-			continue
+	n := len(src.attrs)
+	ds.attrs = src.attrs[:n:n]
+	ds.attrOff = make([]uint32, min(len(src.attrOff), len(ds.objects)))
+	ds.attrLive = min(n, 2)
+	for id := range ds.attrOff {
+		if off := src.attrOff[id]; off != 0 && ds.Live(id) {
+			ds.attrOff[id] = off
+			ds.attrLive += len(ds.AttrRow(id).Bytes())
 		}
-		for len(ds.attrs) <= id {
-			ds.attrs = append(ds.attrs, nil)
-		}
-		ds.attrs[id] = a
 	}
 }
 

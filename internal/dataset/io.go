@@ -22,7 +22,8 @@ import (
 //	... | nAttrs u32, (id u32, attrs)...
 //
 // where id is the object's position in the objects section (= its
-// identifier after Load) and attrs uses the store attrs codec. Only
+// identifier after Load) and attrs is the bag's canonical encoding
+// (core.EncodeAttrs), copied from and into the dataset's arena. Only
 // objects with a non-empty bag appear. Save emits MIDX2 only when at
 // least one bag exists, so attribute-less datasets stay byte-identical
 // to MIDX1 and readable by older tools; Load accepts both magics.
@@ -45,7 +46,7 @@ func Save(path string, g *Generated) error {
 	// non-empty list upgrades the file to MIDX2.
 	var withAttrs []int
 	for pos, id := range ids {
-		if len(g.Dataset.Attrs(id)) > 0 {
+		if !g.Dataset.AttrRow(id).Empty() {
 			withAttrs = append(withAttrs, pos)
 		}
 	}
@@ -77,7 +78,7 @@ func Save(path string, g *Generated) error {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(withAttrs)))
 		for _, pos := range withAttrs {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(pos))
-			buf = store.EncodeAttrs(buf, g.Dataset.Attrs(ids[pos]))
+			buf = append(buf, g.Dataset.AttrRow(ids[pos]).Bytes()...)
 		}
 	}
 	if _, err := w.Write(buf); err != nil {
@@ -165,12 +166,12 @@ func Load(path string) (*Generated, error) {
 			}
 			id := int(binary.LittleEndian.Uint32(raw))
 			raw = raw[4:]
-			a, used, err := store.DecodeAttrs(raw)
+			row, used, err := core.ParseAttrRow(raw)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
 			}
 			raw = raw[used:]
-			if err := ds.SetAttrs(id, a); err != nil {
+			if err := ds.SetAttrRow(id, row); err != nil {
 				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
 			}
 		}

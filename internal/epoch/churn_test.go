@@ -158,7 +158,7 @@ func TestPlanStatsConsistentUnderChurn(t *testing.T) {
 	want := plan.NewStats()
 	l.View(func(ds *core.Dataset, _ core.Index) {
 		for _, id := range ds.LiveIDs() {
-			want.Observe(ds.Attrs(id))
+			want.Observe(ds.AttrRow(id))
 		}
 	})
 	l.PlanStats(func(st *plan.Stats) {

@@ -62,8 +62,8 @@ type logEntry struct {
 	insert   bool
 	setAttrs bool // attrs-only update: replace the bag, touch nothing else
 	id       int
-	obj      core.Object // the inserted object; nil for deletes
-	attrs    core.Attrs  // the inserted object's attribute bag, if any
+	obj      core.Object  // the inserted object; nil for deletes
+	attrs    core.AttrRow // the object's attribute bag (empty if none)
 }
 
 // Live is an index whose updates are epoch-synchronized with its
@@ -103,7 +103,7 @@ func NewLive(ds *core.Dataset, idx core.Index) *Live {
 	st := plan.NewStats()
 	for id, o := range ds.Objects() {
 		if o != nil {
-			st.Observe(ds.Attrs(id))
+			st.Observe(ds.AttrRow(id))
 		}
 	}
 	return &Live{ds: ds, idx: idx, stats: st}
@@ -187,16 +187,16 @@ func (l *Live) Apply(op Op, epoch uint64, id int, obj core.Object, attrs core.At
 		if err := l.idx.Insert(id); err != nil {
 			return err
 		}
-		l.stats.Observe(attrs)
+		l.stats.Observe(l.ds.AttrRow(id))
 	case OpRemove:
-		a := l.ds.Attrs(id)
+		row := l.ds.AttrRow(id)
 		if err := l.idx.Delete(id); err != nil {
 			return err
 		}
 		if err := l.ds.Delete(id); err != nil {
 			return err
 		}
-		l.stats.Remove(a)
+		l.stats.Remove(row)
 	case OpInsert:
 		if l.ds.Object(id) == nil {
 			if err := l.ds.InsertAt(id, obj); err != nil {
@@ -211,20 +211,20 @@ func (l *Live) Apply(op Op, epoch uint64, id int, obj core.Object, attrs core.At
 		if err := l.idx.Insert(id); err != nil {
 			return err
 		}
-		l.stats.Observe(l.ds.Attrs(id))
+		l.stats.Observe(l.ds.AttrRow(id))
 	case OpDelete:
-		a := l.ds.Attrs(id)
+		row := l.ds.AttrRow(id)
 		if err := l.idx.Delete(id); err != nil {
 			return err
 		}
-		l.stats.Remove(a)
+		l.stats.Remove(row)
 	case OpSetAttrs:
-		old := l.ds.Attrs(id)
+		old := l.ds.AttrRow(id)
 		if err := l.ds.SetAttrs(id, attrs); err != nil {
 			return err
 		}
 		l.stats.Remove(old)
-		l.stats.Observe(attrs)
+		l.stats.Observe(l.ds.AttrRow(id))
 	case OpSwap:
 		// Structure rebuild: answers unchanged, only the epoch moves.
 	default:
@@ -292,6 +292,8 @@ func (l *Live) AddAttrs(o core.Object, a core.Attrs) (int, error) {
 
 // AddAttrsAt is AddAttrs reporting also the epoch the write committed
 // at. A nil bag is an object with no attributes (matches no predicate).
+// A bag the attrs encoding cannot represent is rejected with
+// core.ErrAttrsTooLarge before anything is journaled.
 func (l *Live) AddAttrsAt(o core.Object, a core.Attrs) (int, uint64, error) {
 	if o == nil {
 		return 0, 0, fmt.Errorf("epoch: add of nil object")
@@ -316,8 +318,9 @@ func (l *Live) AddAttrsAt(o core.Object, a core.Attrs) (int, uint64, error) {
 		_ = l.ds.Delete(id)
 		return 0, l.epoch, err
 	}
-	l.record(logEntry{insert: true, id: id, obj: o, attrs: a})
-	l.stats.Observe(a)
+	row := l.ds.AttrRow(id)
+	l.record(logEntry{insert: true, id: id, obj: o, attrs: row})
+	l.stats.Observe(row)
 	l.epoch++
 	return id, l.epoch, nil
 }
@@ -335,8 +338,8 @@ func (l *Live) RemoveAt(id int) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeWait(time.Since(waitStart))
-	o := l.ds.Object(id) // captured for journal-failure rollback
-	a := l.ds.Attrs(id)  // likewise, and for the estimator
+	o := l.ds.Object(id)    // captured for journal-failure rollback
+	row := l.ds.AttrRow(id) // likewise, and for the estimator
 	if err := l.idx.Delete(id); err != nil {
 		return l.epoch, err
 	}
@@ -345,14 +348,12 @@ func (l *Live) RemoveAt(id int) (uint64, error) {
 	}
 	if err := l.journalAppend(OpRemove, id, nil, nil); err != nil {
 		_ = l.ds.InsertAt(id, o)
-		if a != nil {
-			_ = l.ds.SetAttrs(id, a)
-		}
+		_ = l.ds.SetAttrRow(id, row)
 		_ = l.idx.Insert(id)
 		return l.epoch, err
 	}
 	l.record(logEntry{id: id})
-	l.stats.Remove(a)
+	l.stats.Remove(row)
 	l.epoch++
 	return l.epoch, nil
 }
@@ -370,16 +371,16 @@ func (l *Live) Insert(id int) error {
 	if o == nil {
 		return fmt.Errorf("epoch: insert of deleted or unknown object %d", id)
 	}
-	a := l.ds.Attrs(id)
+	row := l.ds.AttrRow(id)
 	if err := l.idx.Insert(id); err != nil {
 		return err
 	}
-	if err := l.journalAppend(OpInsert, id, o, a); err != nil {
+	if err := l.journalAppend(OpInsert, id, o, row.Attrs()); err != nil {
 		_ = l.idx.Delete(id)
 		return err
 	}
-	l.record(logEntry{insert: true, id: id, obj: o, attrs: a})
-	l.stats.Observe(a)
+	l.record(logEntry{insert: true, id: id, obj: o, attrs: row})
+	l.stats.Observe(row)
 	l.epoch++
 	return nil
 }
@@ -404,7 +405,7 @@ func (l *Live) Delete(id int) error {
 		return err
 	}
 	l.record(logEntry{id: id})
-	l.stats.Remove(l.ds.Attrs(id))
+	l.stats.Remove(l.ds.AttrRow(id))
 	l.epoch++
 	return nil
 }
@@ -479,8 +480,8 @@ func (l *Live) Swap(build Builder) error {
 }
 
 // snapshot clones the dataset: same Space (compdists accounting stays
-// global), same identifiers, copied object slots and attribute bags
-// (bags are shared, not deep-copied — they are immutable once set).
+// global), same identifiers, copied object slots, and the attribute
+// arena shared (rows are immutable once written; see CopyAttrsFrom).
 func snapshot(ds *core.Dataset) *core.Dataset {
 	objs := append([]core.Object(nil), ds.Objects()...)
 	snap := core.NewDataset(ds.Space(), objs)
@@ -500,7 +501,7 @@ func replay(ds *core.Dataset, idx core.Index, log []logEntry) error {
 			if ds.Object(e.id) == nil {
 				continue // removed before the cutover; nothing to update
 			}
-			if err := ds.SetAttrs(e.id, e.attrs); err != nil {
+			if err := ds.SetAttrRow(e.id, e.attrs); err != nil {
 				return err
 			}
 			continue
@@ -512,10 +513,8 @@ func replay(ds *core.Dataset, idx core.Index, log []logEntry) error {
 			if err := ds.InsertAt(e.id, e.obj); err != nil {
 				return err
 			}
-			if e.attrs != nil {
-				if err := ds.SetAttrs(e.id, e.attrs); err != nil {
-					return err
-				}
+			if err := ds.SetAttrRow(e.id, e.attrs); err != nil {
+				return err
 			}
 			if err := idx.Insert(e.id); err != nil {
 				return err

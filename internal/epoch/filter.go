@@ -30,28 +30,30 @@ func (l *Live) PlanStats(fn func(s *plan.Stats)) {
 // section, keeping the estimator exact, and reports the epoch the
 // write committed at. The object itself is untouched; the epoch still
 // advances, so cached filtered answers from before the change cannot
-// be served after it.
+// be served after it. A bag the attrs encoding cannot represent is
+// rejected with core.ErrAttrsTooLarge before anything is journaled.
 func (l *Live) SetAttrsAt(id int, a core.Attrs) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	old := l.ds.Attrs(id)
+	old := l.ds.AttrRow(id)
 	if err := l.ds.SetAttrs(id, a); err != nil {
 		return l.epoch, err
 	}
 	if err := l.journalAppend(OpSetAttrs, id, nil, a); err != nil {
-		_ = l.ds.SetAttrs(id, old)
+		_ = l.ds.SetAttrRow(id, old)
 		return l.epoch, err
 	}
-	l.record(logEntry{setAttrs: true, id: id, attrs: a})
+	row := l.ds.AttrRow(id)
+	l.record(logEntry{setAttrs: true, id: id, attrs: row})
 	l.stats.Remove(old)
-	l.stats.Observe(a)
+	l.stats.Observe(row)
 	l.epoch++
 	return l.epoch, nil
 }
 
 // Attrs returns the attribute bag of a live object observed in a read
-// section (nil when the object has none or the id is dead). The bag is
-// shared — callers must not mutate it.
+// section, decoded into a fresh map (nil when the object has none or
+// the id is dead).
 func (l *Live) Attrs(id int) core.Attrs {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -198,11 +198,17 @@ func TestSearchClampsHugeK(t *testing.T) {
 // must add none.
 const liveSearchKNNAllocs = 4
 
+// liveSearchProbeAllocs pins the same query probe-filtered (measured 5:
+// the index's 4 plus the accept closure). Evaluating the predicate on
+// every candidate's attribute row must add nothing per candidate.
+const liveSearchProbeAllocs = 5
+
 func TestLiveSearchAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	ds := testutil.VectorDataset(500, 4, 100, core.L2{}, 7)
+	testutil.AttachTestAttrs(t, ds, 9)
 	idx, err := table.NewLAESA(ds, []int{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
@@ -222,5 +228,19 @@ func TestLiveSearchAllocs(t *testing.T) {
 	if allocs > liveSearchKNNAllocs || allocs > raw {
 		t.Fatalf("Live.Search kNN allocated %.1f times per query; the index alone %.1f, budget %d",
 			allocs, raw, liveSearchKNNAllocs)
+	}
+
+	q.Filter = mustParsePlan(t, `category IN ("rare", "mid")`)
+	if a, err := l.Search(q); err != nil || a.Strategy != plan.StrategyProbe {
+		t.Fatalf("filtered search ran %v (err %v); the witness needs the probe strategy", a.Strategy, err)
+	}
+	probe := testing.AllocsPerRun(200, func() {
+		if _, err := l.Search(q); err != nil {
+			panic(err)
+		}
+	})
+	if probe > liveSearchProbeAllocs {
+		t.Fatalf("probe-filtered Live.Search kNN allocated %.1f times per query, budget %d",
+			probe, liveSearchProbeAllocs)
 	}
 }

@@ -229,14 +229,14 @@ func encodeDataset(w *Writer, ds *core.Dataset) {
 			continue
 		}
 		flags := uint8(slotObject)
-		a := ds.Attrs(id)
-		if len(a) > 0 {
+		row := ds.AttrRow(id)
+		if !row.Empty() {
 			flags |= slotAttrs
 		}
 		w.U8(flags)
 		w.Object(o)
 		if flags&slotAttrs != 0 {
-			w.Attrs(a)
+			w.AttrRow(row)
 		}
 	}
 }
@@ -248,7 +248,13 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		return nil, r.err
 	}
 	objs := make([]core.Object, n)
-	attrs := make(map[int]core.Attrs)
+	// Bags wait as views of the payload until the dataset exists, then
+	// are copied into its arena.
+	type slotRow struct {
+		id  int
+		row core.AttrRow
+	}
+	var rows []slotRow
 	for i := range objs {
 		flags := r.U8()
 		if r.err == nil && (flags&slotObject == 0 && flags != 0 || flags&^uint8(slotObject|slotAttrs) != 0) {
@@ -258,7 +264,7 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 			objs[i] = r.Object()
 		}
 		if flags&slotAttrs != 0 {
-			attrs[i] = r.Attrs()
+			rows = append(rows, slotRow{i, r.AttrRow()})
 		}
 		if r.err != nil {
 			return nil, r.err
@@ -269,8 +275,8 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		return nil, r.err
 	}
 	ds := core.NewDataset(core.NewSpace(metric), objs)
-	for id, a := range attrs {
-		if err := ds.SetAttrs(id, a); err != nil {
+	for _, sr := range rows {
+		if err := ds.SetAttrRow(sr.id, sr.row); err != nil {
 			return nil, err
 		}
 	}

@@ -21,7 +21,7 @@ import (
 //	record  := length u32 | crc32 u32 (IEEE, over payload) | payload
 //	payload := op u8 | epoch u64 | id u64 | object? (store codec,
 //	           present iff op is OpAdd or OpInsert) | attrs?
-//	           (store attrs codec, present iff bytes remain)
+//	           (core attrs codec, present iff bytes remain)
 //
 // The trailing attrs bag is a compatible extension: records written
 // before attributes existed simply end after the object, and decode
@@ -255,13 +255,16 @@ func decodeWALRecord(payload []byte) (Record, bool) {
 		return Record{}, false
 	}
 	if r.Remaining() > 0 {
-		rec.Attrs = r.Attrs()
+		rec.Attrs = r.AttrRow().Attrs()
 	}
 	r.ExpectEOF()
 	return rec, r.Err() == nil
 }
 
-func encodeWALRecord(rec Record) []byte {
+// encodeWALRecord frames one record. It fails only on a bag the attrs
+// encoding cannot represent, which Dataset.SetAttrs has already refused
+// for every write Live journals.
+func encodeWALRecord(rec Record) ([]byte, error) {
 	p := NewWriter()
 	p.U8(uint8(rec.Op))
 	p.U64(rec.Epoch)
@@ -270,14 +273,18 @@ func encodeWALRecord(rec Record) []byte {
 		p.Object(rec.Obj)
 	}
 	if len(rec.Attrs) > 0 {
-		p.Attrs(rec.Attrs)
+		row, err := core.EncodeAttrs(nil, rec.Attrs)
+		if err != nil {
+			return nil, err
+		}
+		p.AttrRow(row)
 	}
 	payload := p.Bytes()
 	f := NewWriter()
 	f.U32(uint32(len(payload)))
 	f.U32(crc32.ChecksumIEEE(payload))
 	f.buf = append(f.buf, payload...)
-	return f.Bytes()
+	return f.Bytes(), nil
 }
 
 // Append writes one committed update; it is the epoch.Journal hook. With
@@ -285,7 +292,10 @@ func encodeWALRecord(rec Record) []byte {
 // section that called us cannot acknowledge a commit the disk has not
 // seen.
 func (w *WAL) Append(op epoch.Op, ep uint64, id int, obj core.Object, attrs core.Attrs) error {
-	frame := encodeWALRecord(Record{Op: op, Epoch: ep, ID: id, Obj: obj, Attrs: attrs})
+	frame, err := encodeWALRecord(Record{Op: op, Epoch: ep, ID: id, Obj: obj, Attrs: attrs})
+	if err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -332,7 +342,11 @@ func (w *WAL) TruncateThrough(ep uint64) error {
 		if rec.Epoch <= ep {
 			continue
 		}
-		out = append(out, encodeWALRecord(rec)...)
+		var frame []byte
+		if frame, err = encodeWALRecord(rec); err != nil {
+			return err
+		}
+		out = append(out, frame...)
 		kept++
 	}
 	dir := filepath.Dir(w.path)

@@ -64,9 +64,9 @@ func (w *Writer) String(s string) {
 // Object appends one object in the store codec (self-delimiting).
 func (w *Writer) Object(o core.Object) { w.buf = store.EncodeObject(w.buf, o) }
 
-// Attrs appends one attribute bag in the store attrs codec
-// (self-delimiting; a nil bag encodes as zero fields).
-func (w *Writer) Attrs(a core.Attrs) { w.buf = store.EncodeAttrs(w.buf, a) }
+// AttrRow appends one attribute bag in its canonical encoding
+// (self-delimiting; the empty row encodes as zero fields).
+func (w *Writer) AttrRow(row core.AttrRow) { w.buf = append(w.buf, row.Bytes()...) }
 
 // Objects appends a u32 count followed by each object.
 func (w *Writer) Objects(os []core.Object) {
@@ -247,18 +247,21 @@ func (r *Reader) Object() core.Object {
 	return o
 }
 
-// Attrs reads one store-codec attribute bag (nil for zero fields).
-func (r *Reader) Attrs() core.Attrs {
+// AttrRow reads one attribute bag as a canonical row (see
+// core.ParseAttrRow): a view of the payload when the stored bytes are
+// canonical, a fresh re-encoding otherwise. Callers that keep the bag
+// must copy it (Dataset.SetAttrRow does).
+func (r *Reader) AttrRow() core.AttrRow {
 	if r.err != nil {
 		return nil
 	}
-	a, n, err := store.DecodeAttrs(r.data[r.off:])
+	row, n, err := core.ParseAttrRow(r.data[r.off:])
 	if err != nil {
 		r.fail("attrs: %v", err)
 		return nil
 	}
 	r.off += n
-	return a
+	return row
 }
 
 // Objects reads a u32 count followed by that many objects.

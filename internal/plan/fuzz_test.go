@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"metricindex/internal/core"
@@ -68,9 +70,10 @@ func FuzzPredicateParse(f *testing.F) {
 	})
 }
 
-// FuzzPredicateEval: evaluation is total and deterministic — any
-// parsed predicate against any bag (including nil) yields a stable
-// boolean and never panics, whatever values the bag holds.
+// FuzzPredicateEval: evaluation on encoded rows is total and agrees
+// with the map semantics — any parsed predicate against the row of any
+// bag yields the boolean refEval gives on the bag itself, never a
+// panic, and the empty row (nil or encoded) matches nothing.
 func FuzzPredicateEval(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, int64(7), 41.5, "mid")
@@ -87,12 +90,75 @@ func FuzzPredicateEval(f *testing.F) {
 			"level":    core.IntValue(iv),
 			"score":    core.FloatValue(fv),
 			"tags":     core.TagsValue(sv, "hot"),
+			sv:         core.IntValue(iv),
 		}
-		got := p.Eval(bag)
-		if p.Eval(bag) != got {
-			t.Fatalf("Eval not deterministic for %q", src)
+		row, err := core.EncodeAttrs(nil, bag)
+		if err != nil {
+			return // over the encoding's limits: no dataset can hold it
 		}
-		_ = p.Eval(nil)
-		_ = p.Eval(core.Attrs{})
+		if got, want := p.EvalRow(row), refEval(&p.root, bag); got != want {
+			t.Fatalf("EvalRow(%q) = %v on %v, map semantics say %v", src, got, bag, want)
+		}
+		if p.EvalRow(nil) || p.EvalRow(core.AttrRow{0, 0}) {
+			t.Fatalf("%q matched the empty row", src)
+		}
 	})
+}
+
+// refEval is the map-bag evaluator the row evaluator replaced, kept as
+// the reference semantics: a leaf over a missing field or a mismatched
+// type is false; numbers compare in the widened float64 domain; tag
+// equality is containment.
+func refEval(n *node, a core.Attrs) bool {
+	switch n.kind {
+	case nodeAnd:
+		for i := range n.kids {
+			if !refEval(&n.kids[i], a) {
+				return false
+			}
+		}
+		return true
+	case nodeOr:
+		for i := range n.kids {
+			if refEval(&n.kids[i], a) {
+				return true
+			}
+		}
+		return false
+	}
+	v, ok := a[n.field]
+	if !ok {
+		return false
+	}
+	eq := func(lit *operand) bool {
+		if lit.isNum {
+			x, numeric := v.Numeric()
+			return numeric && x == lit.num
+		}
+		switch v.Kind() {
+		case core.AttrString:
+			return v.Str() == lit.str
+		case core.AttrTags:
+			return slices.Contains(v.Tags(), lit.str)
+		}
+		return false
+	}
+	switch n.op {
+	case opIn:
+		for i := range n.set {
+			if eq(&n.set[i]) {
+				return true
+			}
+		}
+		return false
+	case opEq:
+		return eq(&n.val)
+	case opNe:
+		return !eq(&n.val)
+	}
+	if n.val.isNum {
+		x, numeric := v.Numeric()
+		return numeric && matchCmp(n.op, cmpFloat(x, n.val.num))
+	}
+	return v.Kind() == core.AttrString && matchCmp(n.op, strings.Compare(v.Str(), n.val.str))
 }

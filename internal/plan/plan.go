@@ -94,7 +94,7 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 	case StrategyPre:
 		var res []int
 		for id, o := range ds.Objects() {
-			if o == nil || !p.Eval(ds.Attrs(id)) {
+			if o == nil || !p.EvalRow(ds.AttrRow(id)) {
 				continue
 			}
 			if ds.Space().Distance(q, o) <= r {
@@ -103,10 +103,16 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 		}
 		return res, nil
 	case StrategyProbe:
-		return ProbeRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) })
+		return ProbeRange(idx, q, r, accepts(ds, p))
 	default:
-		return PostRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) })
+		return PostRange(idx, q, r, accepts(ds, p))
 	}
+}
+
+// accepts is p as an id test over ds's attribute rows — the accept
+// callback of the probe and post strategies.
+func accepts(ds *core.Dataset, p *Predicate) core.Accept {
+	return func(id int) bool { return p.EvalRow(ds.AttrRow(id)) }
 }
 
 // ProbeRange answers MRQ(q, r) restricted to accepted ids, pushing the
@@ -152,16 +158,16 @@ func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 	case StrategyPre:
 		h := core.NewKNNHeap(k)
 		for id, o := range ds.Objects() {
-			if o == nil || !p.Eval(ds.Attrs(id)) {
+			if o == nil || !p.EvalRow(ds.AttrRow(id)) {
 				continue
 			}
 			h.Push(id, ds.Space().Distance(q, o))
 		}
 		return h.Result(), nil
 	case StrategyProbe:
-		return ProbeKNN(idx, ds.Count(), q, k, func(id int) bool { return p.Eval(ds.Attrs(id)) }, selHint)
+		return ProbeKNN(idx, ds.Count(), q, k, accepts(ds, p), selHint)
 	default:
-		return PostKNN(idx, ds.Count(), q, k, func(id int) bool { return p.Eval(ds.Attrs(id)) }, selHint)
+		return PostKNN(idx, ds.Count(), q, k, accepts(ds, p), selHint)
 	}
 }
 

@@ -75,8 +75,8 @@ type node struct {
 }
 
 // Predicate is a compiled filter expression. Compile once per query
-// (Parse), evaluate per candidate (Eval) — evaluation is zero-alloc so
-// the probe-filter path can call it inside index hot loops.
+// (Parse), evaluate per candidate (EvalRow) — evaluation is zero-alloc
+// so the probe-filter path can call it inside index hot loops.
 type Predicate struct {
 	root node
 	src  string // canonical form, the cache-key component
@@ -88,31 +88,41 @@ type Predicate struct {
 // lets the answer cache key on it.
 func (p *Predicate) String() string { return p.src }
 
-// Eval reports whether an object carrying the given attribute bag
-// satisfies the predicate. It is total: any bag (including nil) yields
+// EvalRow reports whether an object whose attribute bag is row
+// satisfies the predicate, reading the encoded fields in place. It is
+// total: any row (the empty one included, and any bytes at all) yields
 // a boolean, never a panic or an error.
 //
 //metriclint:noalloc
-func (p *Predicate) Eval(a core.Attrs) bool { return p.root.eval(a) }
+func (p *Predicate) EvalRow(row core.AttrRow) bool { return p.root.eval(row) }
 
-func (n *node) eval(a core.Attrs) bool {
+// Eval is EvalRow for a bag held as a map: the bag is encoded first, so
+// there is one evaluator. A bag the encoding cannot represent (which no
+// dataset can hold) matches nothing.
+func (p *Predicate) Eval(a core.Attrs) bool {
+	row, err := core.EncodeAttrs(nil, a)
+	return err == nil && p.EvalRow(row)
+}
+
+//metriclint:noalloc
+func (n *node) eval(row core.AttrRow) bool {
 	switch n.kind {
 	case nodeAnd:
 		for i := range n.kids {
-			if !n.kids[i].eval(a) {
+			if !n.kids[i].eval(row) {
 				return false
 			}
 		}
 		return true
 	case nodeOr:
 		for i := range n.kids {
-			if n.kids[i].eval(a) {
+			if n.kids[i].eval(row) {
 				return true
 			}
 		}
 		return false
 	}
-	v, ok := a[n.field]
+	v, ok := row.Lookup(n.field)
 	if !ok {
 		return false
 	}
@@ -142,7 +152,7 @@ func (n *node) eval(a core.Attrs) bool {
 	if v.Kind() != core.AttrString {
 		return false
 	}
-	return matchCmp(n.op, strings.Compare(v.Str(), n.val.str))
+	return matchCmp(n.op, v.CompareStr(n.val.str))
 }
 
 // matchEq is the equality test of one attribute value against one
@@ -150,20 +160,16 @@ func (n *node) eval(a core.Attrs) bool {
 // string attrs and tag sets (set containment).
 //
 //metriclint:noalloc
-func matchEq(v core.AttrValue, lit *operand) bool {
+func matchEq(v core.AttrField, lit *operand) bool {
 	if lit.isNum {
 		x, numeric := v.Numeric()
 		return numeric && x == lit.num
 	}
 	switch v.Kind() {
 	case core.AttrString:
-		return v.Str() == lit.str
+		return v.CompareStr(lit.str) == 0
 	case core.AttrTags:
-		for _, t := range v.Tags() {
-			if t == lit.str {
-				return true
-			}
-		}
+		return v.HasTag(lit.str)
 	}
 	return false
 }

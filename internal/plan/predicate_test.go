@@ -67,6 +67,9 @@ func TestParseEval(t *testing.T) {
 			}
 			t.Fatalf("Parse(%q): %v", c.src, err)
 		}
+		if got := p.EvalRow(rowOf(bag)); got != c.want {
+			t.Errorf("EvalRow(%q) = %v, want %v", c.src, got, c.want)
+		}
 		if got := p.Eval(bag); got != c.want {
 			t.Errorf("Eval(%q) = %v, want %v", c.src, got, c.want)
 		}
@@ -80,6 +83,19 @@ func TestEvalNilAndEmptyBags(t *testing.T) {
 	}
 	if p.Eval(core.Attrs{}) {
 		t.Error("empty bag matched")
+	}
+	if p.EvalRow(nil) || p.EvalRow(core.AttrRow{0, 0}) {
+		t.Error("empty row matched")
+	}
+}
+
+// TestEvalOverLimitBag: a bag the attrs encoding cannot represent —
+// which no dataset can hold — matches nothing through Eval.
+func TestEvalOverLimitBag(t *testing.T) {
+	p := mustParse(t, `level = 7`)
+	bag := core.Attrs{"level": core.IntValue(7), "name": core.StringValue(strings.Repeat("x", 70000))}
+	if p.Eval(bag) {
+		t.Fatal("over-limit bag matched")
 	}
 }
 
@@ -148,15 +164,16 @@ func TestStringRoundTrip(t *testing.T) {
 
 // TestPredicateEvalZeroAlloc is the runtime witness behind the
 // //metriclint:noalloc markers on the eval path: evaluating a compiled
-// predicate — every leaf type, both connectives — allocates nothing,
-// so probe-filter accept callbacks cost no garbage per candidate.
+// predicate on an encoded row — every leaf type, both connectives, a
+// missing field — allocates nothing, so probe-filter accept callbacks
+// cost no garbage per candidate.
 func TestPredicateEvalZeroAlloc(t *testing.T) {
 	p := mustParse(t,
-		`(category IN ("rare", "mid") AND level >= 2 AND score < 90) OR tags = "hot" OR name != "x"`)
-	bag := sampleBag()
+		`(category IN ("rare", "mid") AND level >= 2 AND score < 90) OR tags = "hot" OR name != "x" OR category < "m"`)
+	row := rowOf(sampleBag())
 	var sink bool
-	if avg := testing.AllocsPerRun(1000, func() { sink = p.Eval(bag) }); avg != 0 {
-		t.Fatalf("Eval allocates %.1f times per run, want 0", avg)
+	if avg := testing.AllocsPerRun(1000, func() { sink = p.EvalRow(row) }); avg != 0 {
+		t.Fatalf("EvalRow allocates %.1f times per run, want 0", avg)
 	}
 	_ = sink
 }

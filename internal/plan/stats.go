@@ -41,7 +41,7 @@ type fieldStats struct {
 	count         int             // rows carrying this field
 	hist          [numBuckets]int // numeric values only
 	numN          int             // numeric values counted in hist
-	vals          map[string]int  // discrete value → row count (bounded)
+	vals          map[string]*int // discrete value → row count (bounded)
 	other         int             // rows whose value overflowed vals
 	otherDistinct int             // distinct values pooled in other
 	tagN          int             // total tag memberships (tags fields)
@@ -82,112 +82,106 @@ func bucketBounds(idx int) (lo, hi float64) {
 	return math.Ldexp(1, e), math.Ldexp(1, e+1)
 }
 
-// discreteKey is the exact-count table key of a value: strings and tags
-// key by their text, numbers by their shortest decimal form.
-func discreteKey(v core.AttrValue) (string, bool) {
-	switch v.Kind() {
-	case core.AttrInt:
-		return operandKey(float64(v.Int())), true
-	case core.AttrFloat:
-		return operandKey(v.Float()), true
-	case core.AttrString:
-		return v.Str(), true
-	}
-	return "", false
-}
-
+// operandKey is the exact-count table key of a number: its shortest
+// decimal form. Strings and tags key by their text.
 func operandKey(f float64) string {
-	// Matches printOperand's number rendering, so predicate literals
-	// and stored values meet in one key space.
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	var buf [32]byte
+	return string(appendNumKey(buf[:0], f))
 }
 
-// Observe folds one object's attribute bag (possibly nil) into the
-// estimator. Call exactly once per live object, under the write lock.
-func (s *Stats) Observe(a core.Attrs) {
-	s.rows++
-	for k, v := range a {
-		f := s.fields[k]
-		if f == nil {
-			f = &fieldStats{vals: make(map[string]int)}
-			s.fields[k] = f
-		}
-		f.count++
-		if x, numeric := v.Numeric(); numeric {
-			f.hist[bucketOf(x)]++
-			f.numN++
-		}
-		switch v.Kind() {
-		case core.AttrTags:
-			for _, t := range v.Tags() {
-				f.addVal(t)
-				f.tagN++
-			}
-		default:
-			if key, ok := discreteKey(v); ok {
-				f.addVal(key)
-			}
-		}
-	}
+// appendNumKey appends operandKey(f) to dst. It matches printOperand's
+// number rendering, so predicate literals and stored values meet in
+// one key space.
+//
+//metriclint:noalloc
+func appendNumKey(dst []byte, f float64) []byte {
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }
+
+// Observe folds one object's attribute bag (possibly empty) into the
+// estimator. Call exactly once per live object, under the write lock.
+// Values the tables already hold cost no allocation.
+func (s *Stats) Observe(row core.AttrRow) { s.count(row, 1) }
 
 // Remove is the exact inverse of Observe for the same bag.
-func (s *Stats) Remove(a core.Attrs) {
-	s.rows--
-	for k, v := range a {
-		f := s.fields[k]
+func (s *Stats) Remove(row core.AttrRow) { s.count(row, -1) }
+
+// count adds d (+1 or -1) rows holding the bag to every counter it
+// touches.
+func (s *Stats) count(row core.AttrRow, d int) {
+	s.rows += d
+	it := row.Fields()
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		f := s.field(v.Key())
 		if f == nil {
-			continue
-		}
-		f.count--
-		if x, numeric := v.Numeric(); numeric {
-			f.hist[bucketOf(x)]--
-			f.numN--
-		}
-		switch v.Kind() {
-		case core.AttrTags:
-			for _, t := range v.Tags() {
-				f.delVal(t)
-				f.tagN--
+			if d < 0 {
+				continue
 			}
-		default:
-			if key, ok := discreteKey(v); ok {
-				f.delVal(key)
+			f = &fieldStats{vals: make(map[string]*int)}
+			s.fields[string(v.Key())] = f
+		}
+		f.count += d
+		x, numeric := v.Numeric()
+		var buf [32]byte
+		switch {
+		case numeric:
+			f.hist[bucketOf(x)] += d
+			f.numN += d
+			f.countVal(appendNumKey(buf[:0], x), d)
+		case v.Kind() == core.AttrString:
+			f.countVal(v.Str(), d)
+		case v.Kind() == core.AttrTags:
+			tags := v.Tags()
+			for t, ok := tags.Next(); ok; t, ok = tags.Next() {
+				f.countVal(t, d)
+				f.tagN += d
 			}
 		}
 	}
 }
 
-func (f *fieldStats) addVal(key string) {
-	if n, ok := f.vals[key]; ok {
-		f.vals[key] = n + 1
-		return
-	}
-	if len(f.vals) < maxDistinct {
-		f.vals[key] = 1
-		return
-	}
-	// Overflow pool. Distinct counting over the pool is approximate
-	// (removals cannot tell when a value's last row leaves), which only
-	// softens the equality estimate for very-high-cardinality fields.
-	f.other++
-	f.otherDistinct++
+// field returns the statistics of the named field, nil when unseen.
+//
+//metriclint:noalloc
+func (s *Stats) field(key []byte) *fieldStats {
+	//metriclint:ignore noalloc a map index by string(bytes) does not copy the key
+	return s.fields[string(key)]
 }
 
-func (f *fieldStats) delVal(key string) {
-	if n, ok := f.vals[key]; ok {
-		if n == 1 {
-			delete(f.vals, key)
-		} else {
-			f.vals[key] = n - 1
+// counter returns the exact-count cell of a discrete value, nil when
+// the table does not hold it.
+//
+//metriclint:noalloc
+func (f *fieldStats) counter(key []byte) *int {
+	//metriclint:ignore noalloc a map index by string(bytes) does not copy the key
+	return f.vals[string(key)]
+}
+
+// countVal adds d rows holding the discrete value key. Only a value
+// new to the table allocates: its key string and its counter.
+func (f *fieldStats) countVal(key []byte, d int) {
+	if c := f.counter(key); c != nil {
+		if *c += d; *c == 0 {
+			delete(f.vals, string(key))
 		}
 		return
 	}
-	if f.other > 0 {
-		f.other--
-		if f.otherDistinct > f.other {
-			f.otherDistinct = f.other
+	// Values outside the table live in the overflow pool. Distinct
+	// counting over the pool is approximate (removals cannot tell when
+	// a value's last row leaves), which only softens the equality
+	// estimate for very-high-cardinality fields.
+	switch {
+	case d < 0:
+		if f.other > 0 {
+			f.other--
+			f.otherDistinct = min(f.otherDistinct, f.other)
 		}
+	case len(f.vals) < maxDistinct:
+		one := 1
+		f.vals[string(key)] = &one
+	default:
+		f.other++
+		f.otherDistinct++
 	}
 }
 
@@ -206,7 +200,9 @@ func (s *Stats) FieldRows(name string) int {
 // value of the field (0 when unseen or pooled into overflow).
 func (s *Stats) ValueRows(name, value string) int {
 	if f := s.fields[name]; f != nil {
-		return f.vals[value]
+		if c := f.vals[value]; c != nil {
+			return *c
+		}
 	}
 	return 0
 }
@@ -299,8 +295,8 @@ func (s *Stats) eqRows(f *fieldStats, lit *operand) float64 {
 	} else {
 		key = lit.str
 	}
-	if n, ok := f.vals[key]; ok {
-		return float64(n)
+	if c := f.vals[key]; c != nil {
+		return float64(*c)
 	}
 	if f.other > 0 && f.otherDistinct > 0 {
 		return float64(f.other) / float64(f.otherDistinct)

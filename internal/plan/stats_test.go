@@ -26,9 +26,18 @@ func statsFixture() *Stats {
 		if i < 20 {
 			bag["tags"] = core.TagsValue("hot")
 		}
-		st.Observe(bag)
+		st.Observe(rowOf(bag))
 	}
 	return st
+}
+
+// rowOf encodes a test bag into its canonical row.
+func rowOf(a core.Attrs) core.AttrRow {
+	row, err := core.EncodeAttrs(nil, a)
+	if err != nil {
+		panic(err)
+	}
+	return row
 }
 
 func sel(t *testing.T, st *Stats, src string) float64 {
@@ -93,7 +102,7 @@ func TestSelectivityOverflowPool(t *testing.T) {
 	st := NewStats()
 	n := maxDistinct + 200
 	for i := 0; i < n; i++ {
-		st.Observe(core.Attrs{"u": core.StringValue(fmt.Sprintf("val-%d", i))})
+		st.Observe(rowOf(core.Attrs{"u": core.StringValue(fmt.Sprintf("val-%d", i))}))
 	}
 	if got := st.ValueRows("u", fmt.Sprintf("val-%d", n-1)); got != 0 {
 		t.Fatalf("pooled value reported %d exact rows, want 0", got)
@@ -119,10 +128,10 @@ func TestObserveRemoveInverse(t *testing.T) {
 	}
 	st := NewStats()
 	for _, b := range bags {
-		st.Observe(b)
+		st.Observe(rowOf(b))
 	}
 	for _, b := range bags {
-		st.Remove(b)
+		st.Remove(rowOf(b))
 	}
 	if st.Rows() != 0 {
 		t.Fatalf("Rows = %d after full removal, want 0", st.Rows())
@@ -172,5 +181,27 @@ func TestStrategyString(t *testing.T) {
 		if got := st.String(); got != want {
 			t.Errorf("Strategy(%d).String() = %q, want %q", st, got, want)
 		}
+	}
+}
+
+// TestObserveKnownValuesNoAlloc is the runtime witness behind the
+// //metriclint:noalloc markers on the estimator's lookup path: once a
+// bag's fields and values are in the tables, observing and removing it
+// again allocates nothing — numbers are keyed through a stack buffer,
+// and strings and tags are looked up by their encoded bytes. Only a
+// value new to a table allocates.
+func TestObserveKnownValuesNoAlloc(t *testing.T) {
+	st := NewStats()
+	row := rowOf(sampleBag())
+	st.Observe(row)
+	if avg := testing.AllocsPerRun(1000, func() {
+		st.Observe(row)
+		st.Remove(row)
+	}); avg != 0 {
+		t.Fatalf("re-observing known values allocates %.1f times per run, want 0", avg)
+	}
+	if st.Rows() != 1 || st.ValueRows("level", "7") != 1 || st.ValueRows("tags", "sale") != 1 {
+		t.Fatalf("tables drifted: rows %d, level=7 %d, tags=sale %d",
+			st.Rows(), st.ValueRows("level", "7"), st.ValueRows("tags", "sale"))
 	}
 }

@@ -743,6 +743,9 @@ func (s *Server) handleInsert(r *http.Request, _ *reqInfo) (any, error) {
 		return nil, badRequest("%v", err)
 	}
 	id, ep, err := s.live.AddAttrsAt(o, attrs)
+	if errors.Is(err, core.ErrAttrsTooLarge) {
+		return nil, badRequest("%v", err)
+	}
 	if err != nil {
 		return nil, err
 	}

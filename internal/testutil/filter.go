@@ -82,7 +82,7 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 	AttachTestAttrs(t, ds, 42)
 	stats := plan.NewStats()
 	for _, id := range ds.LiveIDs() {
-		stats.Observe(ds.Attrs(id))
+		stats.Observe(ds.AttrRow(id))
 	}
 
 	type probe struct {
@@ -155,7 +155,7 @@ func bruteFilterRange(ds *core.Dataset, p *plan.Predicate, q core.Object, r floa
 	m := ds.Space().Metric()
 	var res []int
 	for _, id := range ds.LiveIDs() {
-		if p.Eval(ds.Attrs(id)) && m.Distance(q, ds.Object(id)) <= r {
+		if p.EvalRow(ds.AttrRow(id)) && m.Distance(q, ds.Object(id)) <= r {
 			res = append(res, id)
 		}
 	}
@@ -168,7 +168,7 @@ func bruteFilterKNN(ds *core.Dataset, p *plan.Predicate, q core.Object, k int) [
 	m := ds.Space().Metric()
 	h := core.NewKNNHeap(k)
 	for _, id := range ds.LiveIDs() {
-		if p.Eval(ds.Attrs(id)) {
+		if p.EvalRow(ds.AttrRow(id)) {
 			h.Push(id, m.Distance(q, ds.Object(id)))
 		}
 	}
